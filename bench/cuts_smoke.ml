@@ -1,7 +1,7 @@
 (* CI smoke test for the per-family cut separation machinery: solve one
    small Table-1-style data-collection scenario and one generated
    tactical scenario under every single-family restriction (--cuts
-   gmi|cover|clique|negcycle|power), plus all-on and all-off, to a
+   gmi|cover|clique|power), plus all-on and all-off, to a
    tight gap, and fail (exit 1) if any final objective or status
    diverges from the all-on run — separation may only change the route
    to the optimum, never the optimum.  Also fails if the all-on run
@@ -20,7 +20,7 @@ let run_config fams inst =
       default
       |> with_approx ~kstar:4 ()
       |> with_time_limit 60. |> with_rel_gap 1e-6
-      |> with_cut_families fams)
+      |> with_kernel { default.kernel with k_cut_families = fams })
   in
   Solve.run cfg inst
 

@@ -4,9 +4,7 @@
    stack off, all to a tight gap, and fail (exit 1) if any final
    objective or status diverges.  Accepts
    `--workers N` to run every variant with N worker domains (the CI
-   parallel job uses 4), `--dense-basis` to run every variant on the
-   dense explicit-inverse kernel instead of the sparse LU one (the CI
-   matrix runs both), `--pricing devex`/`--pricing dantzig` and `--no-harris` to
+   parallel job uses 4), `--pricing devex`/`--pricing dantzig` and `--no-harris` to
    pin the simplex pricing/ratio-test combination (the CI ablation step
    runs `--pricing dantzig --no-harris`), `--no-presolve` to run every
    variant on the unreduced model (the CI presolve step), and
@@ -25,8 +23,6 @@ let workers =
     | [] -> 1
   in
   find (Array.to_list Sys.argv)
-
-let dense_basis = Array.exists (String.equal "--dense-basis") Sys.argv
 
 let pricing =
   let rec find = function
@@ -63,12 +59,20 @@ let () =
       let run ?(presolve = presolve) ~warm_start ~cuts ~rc_fixing () =
         let config =
           Solver_config.(
+            let k = default.kernel in
             default
             |> with_approx ~kstar:4 ()
-            |> with_time_limit 60. |> with_rel_gap 1e-6 |> with_warm_start warm_start
-            |> with_cuts cuts |> with_rc_fixing rc_fixing |> with_dense_basis dense_basis
-            |> with_pricing pricing |> with_harris harris
-            |> with_presolve presolve
+            |> with_time_limit 60. |> with_rel_gap 1e-6
+            |> with_kernel
+                 {
+                   k with
+                   k_warm_start = warm_start;
+                   k_cut_families = (if cuts then k.k_cut_families else []);
+                   k_rc_fixing = rc_fixing;
+                   k_pricing = pricing;
+                   k_harris = harris;
+                 }
+            |> with_presolving { default.presolve with ps_enabled = presolve }
             |> with_workers workers)
         in
         Solve.run config inst
@@ -96,12 +100,11 @@ let () =
           let sp = Milp.Status.mip_status_to_string plain.Outcome.status in
           let su = Milp.Status.mip_status_to_string unreduced.Outcome.status in
           Printf.printf
-            "bench-smoke (workers=%d, %s kernel, %s%s%s): warm %s obj=%g (%d LP iters, \
+            "bench-smoke (workers=%d, %s%s%s): warm %s obj=%g (%d LP iters, \
              %d/%d/%d warm/cold/fallback, %d cuts, %d rc-fixed, -%d rows -%d cols, %.3g \
              Mw alloc) | cold %s obj=%g (%d LP iters) | no-cuts %s obj=%g (%d nodes vs \
              %d) | no-presolve %s obj=%g\n"
             workers
-            (if dense_basis then "dense" else "sparse")
             (match pricing with Milp.Simplex.Devex -> "devex" | Milp.Simplex.Dantzig -> "dantzig")
             (if harris then "+harris" else "+classic")
             (if presolve then "" else ", no-presolve")

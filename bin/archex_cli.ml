@@ -46,10 +46,9 @@ let num_setting settings key default =
   | Some _ | None -> default
 
 let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sweep
-    no_incremental cold_start dense_basis pricing no_harris no_cuts cuts
-    cut_max_applied cut_max_age cut_pool_size cut_min_violation no_rc_fixing
-    no_presolve presolve_passes heuristic tabu_iters tabu_time tabu_tenure
-    tabu_seed workers seed out_svg out_lp verbose =
+    cold_start pricing no_harris cuts cut_max_applied cut_max_age cut_pool_size
+    cut_min_violation no_rc_fixing no_presolve presolve_passes heuristic tabu_iters
+    tabu_time tabu_tenure tabu_seed workers seed out_svg out_lp verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
@@ -110,7 +109,7 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
           ~objective:elab.Spec.Elaborate.objective ()
       in
       (* One config for every driver entry point: strategy, solver
-         options, session mode and parallel knobs travel together. *)
+         options and parallel knobs travel together. *)
       let strategy =
         if full then Archex.Solver_config.Full_enum
         else
@@ -121,35 +120,35 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
             }
       in
       let config =
-        Archex.Solver_config.(
-          default |> with_strategy strategy |> with_time_limit time_limit
-          |> with_rel_gap gap
-          |> with_warm_start (not cold_start)
-          |> with_dense_basis dense_basis
-          |> with_pricing pricing
-          |> with_harris (not no_harris)
-          |> with_cuts (not no_cuts)
-          |> (match cuts with None -> Fun.id | Some fs -> with_cut_families fs)
-          |> (match cut_max_applied with None -> Fun.id | Some n -> with_max_applied_cuts n)
-          |> (match cut_max_age with None -> Fun.id | Some n -> with_cut_max_age n)
-          |> (match cut_pool_size with None -> Fun.id | Some n -> with_cut_pool_size n)
-          |> (match cut_min_violation with
-             | None -> Fun.id
-             | Some v -> with_cut_min_violation v)
-          |> with_rc_fixing (not no_rc_fixing)
-          |> with_presolve (not no_presolve)
-          |> (match presolve_passes with
-             | None -> Fun.id
-             | Some passes -> with_presolve_passes passes)
-          |> (if heuristic then
-                with_heuristic
-                  (tabu ~iters:tabu_iters ~time_s:tabu_time ~tenure:tabu_tenure
-                     ~seed:tabu_seed ())
-              else Fun.id)
-          |> with_log verbose
-          |> with_incremental (not no_incremental)
-          |> with_workers workers |> with_seed seed
-          |> with_interrupt interrupt)
+        let open Archex.Solver_config in
+        let k = default.kernel in
+        let ( |? ) v d = Option.value v ~default:d in
+        default |> with_strategy strategy |> with_time_limit time_limit |> with_rel_gap gap
+        |> with_kernel
+             {
+               k_warm_start = not cold_start;
+               k_cut_families = cuts |? k.k_cut_families;
+               k_max_applied_cuts = cut_max_applied |? k.k_max_applied_cuts;
+               k_cut_max_age = cut_max_age |? k.k_cut_max_age;
+               k_cut_pool_size = cut_pool_size |? k.k_cut_pool_size;
+               k_cut_min_violation = cut_min_violation |? k.k_cut_min_violation;
+               k_rc_fixing = not no_rc_fixing;
+               k_pricing = pricing;
+               k_harris = not no_harris;
+             }
+        |> with_presolving
+             {
+               default.presolve with
+               ps_enabled = not no_presolve;
+               ps_passes = presolve_passes |? default.presolve.ps_passes;
+             }
+        |> (if heuristic then
+              with_heuristic
+                (tabu ~iters:tabu_iters ~time_s:tabu_time ~tenure:tabu_tenure ~seed:tabu_seed ())
+            else Fun.id)
+        |> with_log verbose
+        |> with_parallelism { default.parallel with par_workers = workers; par_seed = seed }
+        |> with_interrupt interrupt
       in
       let* out =
         if sweep then begin
@@ -325,13 +324,6 @@ let cold_start =
     & info [ "cold-start" ]
         ~doc:"Disable warm-started node LP re-solves in branch and bound (ablation).")
 
-let dense_basis =
-  Arg.(
-    value & flag
-    & info [ "dense-basis" ]
-        ~doc:"Run node LPs on the dense explicit basis inverse instead of the sparse LU \
-              kernel (ablation).")
-
 let pricing =
   let rule =
     Arg.enum [ ("devex", Milp.Simplex.Devex); ("dantzig", Milp.Simplex.Dantzig) ]
@@ -353,13 +345,6 @@ let no_harris =
           "Disable the Harris two-pass ratio test and the bound-flipping dual ratio test; \
            use the classic smallest-ratio tests (ablation).")
 
-let no_cuts =
-  Arg.(
-    value & flag
-    & info [ "no-cuts" ]
-        ~doc:"Deprecated alias for $(b,--cuts) $(b,none): disable cutting-plane separation \
-              in branch and bound (ablation).")
-
 let families_conv =
   Arg.conv
     ( (fun s ->
@@ -375,8 +360,8 @@ let cuts =
     & info [ "cuts" ] ~docv:"FAMILIES"
         ~doc:
           "Comma-separated cut families to separate (default: all).  Known families: \
-           $(b,gmi), $(b,cover), $(b,clique), $(b,negcycle), $(b,power); $(b,all) and \
-           $(b,none) are recognized.")
+           $(b,gmi), $(b,cover), $(b,clique), $(b,power); $(b,all) and $(b,none) (cutting \
+           planes off) are recognized.")
 
 let cut_max_applied =
   Arg.(
@@ -483,14 +468,6 @@ let sweep =
           "Run the systematic K* sweep (paper §4.3) on one incremental session instead of a \
            single solve, then report the best step.")
 
-let no_incremental =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "With $(b,--sweep): re-encode the model from scratch at every schedule step instead of \
-           growing the live session (ablation).")
-
 let workers =
   Arg.(
     value & opt int 1
@@ -514,11 +491,10 @@ let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Progress logging
 let solve_term =
   Term.(
     const main $ spec_file $ library_file $ plan_file $ kstar $ loc_kstar $ full $ time_limit
-    $ gap $ sweep $ no_incremental $ cold_start $ dense_basis $ pricing $ no_harris
-    $ no_cuts $ cuts $ cut_max_applied $ cut_max_age $ cut_pool_size $ cut_min_violation
-    $ no_rc_fixing $ no_presolve $ presolve_passes $ heuristic $ tabu_iters
-    $ tabu_time $ tabu_tenure $ tabu_seed $ workers $ seed $ out_svg
-    $ out_lp $ verbose)
+    $ gap $ sweep $ cold_start $ pricing $ no_harris $ cuts $ cut_max_applied $ cut_max_age
+    $ cut_pool_size $ cut_min_violation $ no_rc_fixing $ no_presolve $ presolve_passes
+    $ heuristic $ tabu_iters $ tabu_time $ tabu_tenure $ tabu_seed $ workers $ seed
+    $ out_svg $ out_lp $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* Client mode: talk to a running archexd over its Unix socket. *)
@@ -676,7 +652,7 @@ let submit_cmd =
       & info [ "cuts" ] ~docv:"FAMILIES"
           ~doc:
             "Cut families to separate for this request ($(b,gmi), $(b,cover), \
-             $(b,clique), $(b,negcycle), $(b,power), $(b,all), $(b,none); \
+             $(b,clique), $(b,power), $(b,all), $(b,none); \
              default: the daemon's setting).")
   in
   let sub_cut_max_applied =

@@ -35,7 +35,7 @@ val search :
   Instance.t ->
   result
 (** [search config inst] runs the schedule under [config] (solver
-    options, session mode and parallel knobs; the strategy's
+    options and parallel knobs; the strategy's
     [loc_kstar] is overridden with the schedule's widest [K*] so the
     per-step models nest).  Stops early when a solve exceeds
     [time_threshold_s] (default 60 s) or when the objective improves by
@@ -43,6 +43,4 @@ val search :
     previous step.  The improvement test follows the model's objective
     direction, and a step without an incumbent neither counts as
     improvement nor trips the stall detector.  Pool-generation failures
-    for a given [K*] are skipped.  [config.incremental = false]
-    re-encodes every step from scratch (the [--no-incremental]
-    ablation). *)
+    for a given [K*] are skipped. *)

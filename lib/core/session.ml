@@ -16,9 +16,8 @@ type t = {
   mutable s_enc : enc option;
   mutable s_kstar : int;
   mutable s_pool_total : int;
-  (* Carry across steps (incremental mode only): the last incumbent in
-     model-variable space with its objective, and the solver's cut
-     carry-out. *)
+  (* Carry across steps: the last incumbent in model-variable space
+     with its objective, and the solver's cut carry-out. *)
   mutable s_carry : (float array * float) option;
   mutable s_carry_cuts : Milp.Cuts.cut list;
   (* Template presolve: the reduction trace of the last solve plus the
@@ -34,16 +33,14 @@ type t = {
   mutable s_pending_delta : int;
 }
 
-let incremental t = t.s_config.Solver_config.incremental
-
 let config t = t.s_config
 
 (* Per-request reconfiguration of a warm session (the daemon's cache
    hands the same session to successive requests with different time
    limits, gaps, interrupt flags and streaming hooks).  Only knobs that
    leave the carried state valid may change: the encoding strategy
-   kind, localization depth and incremental mode are structural, so a
-   mismatch is a caller bug.  A change to the presolve group is legal
+   kind and localization depth are structural, so a mismatch is a
+   caller bug.  A change to the presolve group is legal
    but invalidates the recorded reduction trace: the watermark advances
    after every solve while the trace only advances on presolve-on
    template solves, so after e.g. an off->on toggle the stored trace no
@@ -55,8 +52,6 @@ let reconfigure t config =
   | Some l when l = t.s_loc_kstar -> ()
   | Some _ -> invalid_arg "Session.reconfigure: loc_kstar cannot change mid-session"
   | None -> invalid_arg "Session.reconfigure: sessions need the approximate strategy");
-  if config.Solver_config.incremental <> incremental t then
-    invalid_arg "Session.reconfigure: incremental mode cannot change mid-session";
   if not (Solver_config.same_presolve t.s_config config) then begin
     t.s_ps <- BB.create_presolve_state ();
     t.s_mark <- None
@@ -93,8 +88,7 @@ let pool_total (generation : Path_gen.result) =
     (fun acc (p : Path_gen.route_pool) -> acc + List.length p.Path_gen.pool)
     0 generation.Path_gen.pools
 
-(* Fresh encode of the cumulative pools — the first step of either mode,
-   and every step of rebuild mode. *)
+(* Fresh encode of the cumulative pools — the session's first step. *)
 let build_fresh t (generation : Path_gen.result) =
   let ctx = Encode_common.create t.s_inst in
   let routes =
@@ -108,10 +102,7 @@ let build_fresh t (generation : Path_gen.result) =
   Encode_common.set_localization_candidates ctx
     (Path_gen.localization_candidates t.s_inst ~kstar:t.s_loc_kstar);
   Encode_common.finalize ctx;
-  t.s_enc <- Some { e_ctx = ctx; e_routes = routes };
-  (* A fresh model invalidates any recorded reduction trace. *)
-  t.s_ps <- BB.create_presolve_state ();
-  t.s_mark <- None
+  t.s_enc <- Some { e_ctx = ctx; e_routes = routes }
 
 let grow t ~kstar =
   match Path_gen.extend t.s_gen ~kstar with
@@ -121,7 +112,7 @@ let grow t ~kstar =
       t.s_generation <- Some generation;
       t.s_kstar <- kstar;
       (match t.s_enc with
-      | Some enc when incremental t ->
+      | Some enc ->
           (* Delta encode into the live model: new selector columns and
              rows only, staged usage flushed once at the end. *)
           List.iter2
@@ -129,12 +120,7 @@ let grow t ~kstar =
               Approx_encoding.grow_route enc.e_ctx rs p.Path_gen.pool)
             enc.e_routes generation.Path_gen.pools;
           Encode_common.flush_usage enc.e_ctx
-      | _ ->
-          build_fresh t generation;
-          if not (incremental t) then begin
-            t.s_carry <- None;
-            t.s_carry_cuts <- []
-          end);
+      | None -> build_fresh t generation);
       let total = pool_total generation in
       t.s_pending_delta <- t.s_pending_delta + (total - t.s_pool_total);
       t.s_pool_total <- total;
@@ -183,46 +169,28 @@ let solve t =
           | Some f ->
               f hobj (match direction with Model.Minimize -> neg_infinity | Model.Maximize -> infinity)
           | None -> ());
-          if incremental t then t.s_carry <- Some (Array.copy hx, hobj)
+          t.s_carry <- Some (Array.copy hx, hobj)
       | _ -> ());
-      let warm, cutoff, seeds =
-        if not (incremental t) then (None, options.BB.cutoff, [])
-        else
-          match t.s_carry with
-          | None -> (None, options.BB.cutoff, t.s_carry_cuts)
-          | Some (x, obj) ->
-              (* Zero-extend the previous incumbent over any new
-                 selector/auxiliary columns: old one-path/rank rows keep
-                 their values and the new candidates simply stay
-                 unselected, so the point remains feasible with the same
-                 objective (Branch_bound re-validates it anyway). *)
-              let n = Model.nvars model in
-              let x' = Array.make n 0. in
-              Array.blit x 0 x' 0 (Int.min n (Array.length x));
-              let cutoff =
-                if Float.is_nan options.BB.cutoff then obj
-                else
-                  match direction with
-                  | Model.Minimize -> Float.min options.BB.cutoff obj
-                  | Model.Maximize -> Float.max options.BB.cutoff obj
-              in
-              (Some x', cutoff, t.s_carry_cuts)
-      in
-      (* Non-incremental sessions never read [s_carry], so hand the
-         heuristic incumbent to this solve directly. *)
       let warm, cutoff =
-        match heur with
-        | Some { Matheuristic.mh_warm = Some (hx, hobj); _ }
-          when not (incremental t) ->
+        match t.s_carry with
+        | None -> (None, options.BB.cutoff)
+        | Some (x, obj) ->
+            (* Zero-extend the previous incumbent over any new
+               selector/auxiliary columns: old one-path/rank rows keep
+               their values and the new candidates simply stay
+               unselected, so the point remains feasible with the same
+               objective (Branch_bound re-validates it anyway). *)
+            let n = Model.nvars model in
+            let x' = Array.make n 0. in
+            Array.blit x 0 x' 0 (Int.min n (Array.length x));
             let cutoff =
-              if Float.is_nan cutoff then hobj
+              if Float.is_nan options.BB.cutoff then obj
               else
                 match direction with
-                | Model.Minimize -> Float.min cutoff hobj
-                | Model.Maximize -> Float.max cutoff hobj
+                | Model.Minimize -> Float.min options.BB.cutoff obj
+                | Model.Maximize -> Float.max options.BB.cutoff obj
             in
-            (Some hx, cutoff)
-        | _ -> (warm, cutoff)
+            (Some x', cutoff)
       in
       let options = { options with BB.cutoff } in
       (* Template presolve: with a watermark from the previous solve,
@@ -231,15 +199,13 @@ let solve t =
          per-step ablation ([presolve_template = false]) never passes a
          delta, so every solve reduces from scratch. *)
       let touched_rows =
-        if
-          incremental t
-          && t.s_config.Solver_config.presolve.Solver_config.ps_template
-        then Option.map (fun mark -> Model.touched_since model mark) t.s_mark
+        if t.s_config.Solver_config.presolve.Solver_config.ps_template then
+          Option.map (fun mark -> Model.touched_since model mark) t.s_mark
         else None
       in
       let t1 = Clock.now () in
       let mip =
-        BB.solve ~options ~seed_cuts:seeds
+        BB.solve ~options ~seed_cuts:t.s_carry_cuts
           ~separators:(Struct_cuts.separators enc.e_ctx)
           ?warm_solution:warm ~presolve_state:t.s_ps
           ?touched_rows ~ws:t.s_ws
@@ -263,14 +229,12 @@ let solve t =
             Some (Solution.of_approx approx mip)
       in
       let t3 = Clock.now () in
-      if incremental t then begin
-        (match mip.BB.solution with
-        | Some x -> t.s_carry <- Some (Array.copy x, mip.BB.objective)
-        | None -> ());
-        (* A previous carry stays valid even when this solve found
-           nothing: the model only grew and the vector re-validates. *)
-        t.s_carry_cuts <- mip.BB.carry_cuts
-      end;
+      (match mip.BB.solution with
+      | Some x -> t.s_carry <- Some (Array.copy x, mip.BB.objective)
+      | None -> ());
+      (* A previous carry stays valid even when this solve found
+         nothing: the model only grew and the vector re-validates. *)
+      t.s_carry_cuts <- mip.BB.carry_cuts;
       let outcome =
         {
           Outcome.solution;

@@ -14,16 +14,12 @@
     The session is configured once, by the {!Solver_config.t} it is
     created with: the strategy's [loc_kstar] fixes localization pruning
     for the whole session (deliberately {e not} swept, so grown models
-    stay strict supersets), [incremental] selects live-model growth vs
-    the rebuild-each-step ablation, and {!Solver_config.bb_options}
-    (including [nworkers]/[seed]) governs every {!solve}.
+    stay strict supersets), and {!Solver_config.bb_options} (including
+    [nworkers]/[seed]) governs every {!solve}.
 
-    With [incremental = false] the session degrades to the rebuild
-    ablation: the same cumulative pools are re-encoded from scratch each
-    step and solved cold, carrying nothing.  Both modes see identical
-    pools (path generation state is shared machinery), so at optimality
-    they reach identical final objectives — the [BENCH_PR3.json]
-    comparison in [bench/] relies on this. *)
+    A step reaches the same optimum as a fresh {!create} at its [K*]:
+    both see identical cumulative pools (path generation state is
+    shared machinery), and the carried incumbent and cuts only prune. *)
 
 type t
 
@@ -40,7 +36,7 @@ val create : Solver_config.t -> Instance.t -> (t, string) result
 val grow : t -> kstar:int -> (unit, string) result
 (** Extend every route's candidate pool by a further BalanceDive round
     set at [kstar] ({!Path_gen.extend}) and bring the model up to date
-    with the delta (or rebuild it, per mode).  On [Error] (a pool still
+    with the delta (the first successful grow encodes it).  On [Error] (a pool still
     cannot supply its disjoint replicas) the model is left untouched but
     the path-generation progress is kept, so a later [grow] with a
     larger [kstar] continues from there; the session stays solvable if a
@@ -48,15 +44,13 @@ val grow : t -> kstar:int -> (unit, string) result
 
 val solve : t -> Outcome.t
 (** Solve the current model with the session config's solver options.
-    In incremental mode the previous step's incumbent (zero-extended
+    The previous step's incumbent (zero-extended
     over new columns) is installed as warm solution and cutoff — so a
     step that cannot improve still returns the carried solution rather
     than [Mip_unknown] — and the carried cover cuts are offered for
     re-certification.  A caller [cutoff] in the config is combined
     direction-aware with the carried objective.
     @raise Invalid_argument if no {!grow} has succeeded yet. *)
-
-val incremental : t -> bool
 
 val config : t -> Solver_config.t
 
@@ -65,6 +59,5 @@ val reconfigure : t -> Solver_config.t -> unit
     per-request overrides (time limit, gap, workers, seed, interrupt
     flag, streaming hook, shared scheduler) to a warm cached session.
     Structural knobs must not change: the new config must use the
-    approximate strategy with the same [loc_kstar], and the same
-    [incremental] mode.
+    approximate strategy with the same [loc_kstar].
     @raise Invalid_argument on a structural mismatch. *)

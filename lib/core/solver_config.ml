@@ -4,14 +4,12 @@ type strategy = Full_enum | Approx of { kstar : int; loc_kstar : int }
 
 type kernel = {
   k_warm_start : bool;
-  k_cuts : bool;
   k_cut_families : Milp.Cuts.family list;
   k_max_applied_cuts : int;
   k_cut_max_age : int;
   k_cut_pool_size : int;
   k_cut_min_violation : float;
   k_rc_fixing : bool;
-  k_dense_basis : bool;
   k_pricing : Milp.Simplex.pricing;
   k_harris : bool;
 }
@@ -45,7 +43,6 @@ type t = {
   presolve : presolve;
   parallel : parallel;
   heuristic : heuristic;
-  incremental : bool;
   interrupt : bool Atomic.t option;
   on_incumbent : (float -> float -> unit) option;
 }
@@ -57,14 +54,12 @@ let approx ?(kstar = 10) ?(loc_kstar = 20) () = Approx { kstar; loc_kstar }
 let kernel_of_options (o : BB.options) =
   {
     k_warm_start = o.BB.warm_start;
-    k_cuts = o.BB.cuts;
     k_cut_families = o.BB.cut_families;
     k_max_applied_cuts = o.BB.max_applied_cuts;
     k_cut_max_age = o.BB.cut_max_age;
     k_cut_pool_size = o.BB.cut_pool_size;
     k_cut_min_violation = o.BB.cut_min_violation;
     k_rc_fixing = o.BB.rc_fixing;
-    k_dense_basis = o.BB.dense_basis;
     k_pricing = o.BB.pricing;
     k_harris = o.BB.harris;
   }
@@ -95,7 +90,6 @@ let default =
       };
     parallel = { par_workers = 1; par_seed = 0; par_scheduler = None };
     heuristic = no_heuristic;
-    incremental = true;
     interrupt = None;
     on_incumbent = None;
   }
@@ -122,7 +116,13 @@ let with_approx ?kstar ?loc_kstar () c =
         };
   }
 
-let with_kernel kernel c = { c with kernel }
+let with_kernel kernel c =
+  let need ok what = if not ok then invalid_arg ("Solver_config.with_kernel: need " ^ what) in
+  need (kernel.k_max_applied_cuts >= 1) "k_max_applied_cuts >= 1";
+  need (kernel.k_cut_max_age >= 1) "k_cut_max_age >= 1";
+  need (kernel.k_cut_pool_size >= 1) "k_cut_pool_size >= 1";
+  need (kernel.k_cut_min_violation > 0.) "k_cut_min_violation > 0";
+  { c with kernel }
 
 let with_presolving presolve c = { c with presolve }
 
@@ -146,13 +146,11 @@ let with_options options c =
       };
   }
 
-let with_incremental incremental c = { c with incremental }
-
 let with_interrupt interrupt c = { c with interrupt = Some interrupt }
 
 let with_on_incumbent on_incumbent c = { c with on_incumbent = Some on_incumbent }
 
-(* ---- deprecated flat aliases (kept for one release) ---- *)
+(* ---- scalar setters ---- *)
 
 let with_time_limit time_limit c = { c with options = { c.options with BB.time_limit } }
 
@@ -166,59 +164,10 @@ let with_log log c = { c with options = { c.options with BB.log } }
 
 let with_mem_stats mem_stats c = { c with options = { c.options with BB.mem_stats } }
 
-let with_warm_start b c = { c with kernel = { c.kernel with k_warm_start = b } }
-
-let with_cuts b c = { c with kernel = { c.kernel with k_cuts = b } }
-
-let with_cut_families fs c =
-  {
-    c with
-    kernel = { c.kernel with k_cuts = fs <> []; k_cut_families = fs };
-  }
-
-let with_max_applied_cuts n c =
-  if n < 1 then
-    invalid_arg "Solver_config.with_max_applied_cuts: need a cap >= 1";
-  { c with kernel = { c.kernel with k_max_applied_cuts = n } }
-
-let with_cut_max_age n c =
-  if n < 1 then invalid_arg "Solver_config.with_cut_max_age: need an age >= 1";
-  { c with kernel = { c.kernel with k_cut_max_age = n } }
-
-let with_cut_pool_size n c =
-  if n < 1 then
-    invalid_arg "Solver_config.with_cut_pool_size: need a pool size >= 1";
-  { c with kernel = { c.kernel with k_cut_pool_size = n } }
-
-let with_cut_min_violation v c =
-  if not (v > 0.) then
-    invalid_arg "Solver_config.with_cut_min_violation: need a threshold > 0";
-  { c with kernel = { c.kernel with k_cut_min_violation = v } }
-
-let with_rc_fixing b c = { c with kernel = { c.kernel with k_rc_fixing = b } }
-
-let with_dense_basis b c = { c with kernel = { c.kernel with k_dense_basis = b } }
-
-let with_pricing p c = { c with kernel = { c.kernel with k_pricing = p } }
-
-let with_harris b c = { c with kernel = { c.kernel with k_harris = b } }
-
-let with_presolve b c = { c with presolve = { c.presolve with ps_enabled = b } }
-
-let with_presolve_passes passes c =
-  { c with presolve = { c.presolve with ps_passes = passes } }
-
-let with_presolve_template b c =
-  { c with presolve = { c.presolve with ps_template = b } }
-
 let with_workers nworkers c =
   if nworkers < 0 then
     invalid_arg "Solver_config.with_workers: need a worker count >= 0 (0 = auto-detect)";
   { c with parallel = { c.parallel with par_workers = nworkers } }
-
-let with_seed seed c = { c with parallel = { c.parallel with par_seed = seed } }
-
-let with_scheduler s c = { c with parallel = { c.parallel with par_scheduler = Some s } }
 
 (* ---- the single override merge ---- *)
 
@@ -233,7 +182,6 @@ type override = {
   o_workers : int option;
   o_seed : int option;
   o_scheduler : Milp.Scheduler.t option;
-  o_incremental : bool option;
   o_interrupt : bool Atomic.t option;
   o_on_incumbent : (float -> float -> unit) option;
 }
@@ -250,7 +198,6 @@ let no_override =
     o_workers = None;
     o_seed = None;
     o_scheduler = None;
-    o_incremental = None;
     o_interrupt = None;
     o_on_incumbent = None;
   }
@@ -263,15 +210,22 @@ let override o c =
   in
   let c = match o.o_rel_gap with None -> c | Some g -> with_rel_gap g c in
   let c = match o.o_cutoff with None -> c | Some cu -> with_cutoff cu c in
-  let c = { c with kernel = opt o.o_kernel c.kernel } in
+  let c = match o.o_kernel with None -> c | Some k -> with_kernel k c in
   let c = { c with presolve = opt o.o_presolve c.presolve } in
   let c = { c with heuristic = opt o.o_heuristic c.heuristic } in
   let c = match o.o_workers with None -> c | Some w -> with_workers w c in
-  let c = match o.o_seed with None -> c | Some s -> with_seed s c in
   let c =
-    match o.o_scheduler with None -> c | Some s -> with_scheduler s c
+    {
+      c with
+      parallel =
+        {
+          c.parallel with
+          par_seed = opt o.o_seed c.parallel.par_seed;
+          par_scheduler =
+            (match o.o_scheduler with None -> c.parallel.par_scheduler | Some _ as s -> s);
+        };
+    }
   in
-  let c = { c with incremental = opt o.o_incremental c.incremental } in
   let c =
     match o.o_interrupt with None -> c | Some i -> with_interrupt i c
   in
@@ -287,14 +241,12 @@ let bb_options c =
   {
     c.options with
     BB.warm_start = c.kernel.k_warm_start;
-    cuts = c.kernel.k_cuts;
     cut_families = c.kernel.k_cut_families;
     max_applied_cuts = c.kernel.k_max_applied_cuts;
     cut_max_age = c.kernel.k_cut_max_age;
     cut_pool_size = c.kernel.k_cut_pool_size;
     cut_min_violation = c.kernel.k_cut_min_violation;
     rc_fixing = c.kernel.k_rc_fixing;
-    dense_basis = c.kernel.k_dense_basis;
     pricing = c.kernel.k_pricing;
     harris = c.kernel.k_harris;
     presolve = c.presolve.ps_enabled;

@@ -4,8 +4,9 @@
     scattered optional arguments lives in a single immutable record,
     now organised as nested sub-records:
 
-    - {!kernel} — simplex/B&B kernel toggles (warm starts, cuts,
-      reduced-cost fixing, basis representation, pricing, ratio tests);
+    - {!kernel} — simplex/B&B kernel toggles (warm starts, cut
+      families and pool limits, reduced-cost fixing, pricing, ratio
+      tests);
     - {!presolve} — the reduction stack (on/off, pass list, template
       trace reuse);
     - {!parallel} — worker domains, diversification seed, shared
@@ -13,7 +14,8 @@
     - {!heuristic} — the primal matheuristic (tabu search) budget.
 
     Remaining scalar knobs (time/node limits, gaps, logging) stay in
-    the raw {!Milp.Branch_bound.options} record under [options].
+    the raw {!Milp.Branch_bound.options} record under [options] and
+    have one-field setters.
 
     Build a config with {!default}, the group setters and [|>]:
 
@@ -41,10 +43,10 @@ type strategy =
     {!Milp.Branch_bound.default_options}. *)
 type kernel = {
   k_warm_start : bool;  (** Warm-started dual simplex re-solves. *)
-  k_cuts : bool;  (** Master switch for the separation loop. *)
   k_cut_families : Milp.Cuts.family list;
       (** Which separators run ([Milp.Cuts.all_families] by default):
-          GMI, cover, clique, negative-cycle and power/RSS cuts. *)
+          GMI, cover, clique and power/RSS cuts; [[]] turns cutting
+          planes off. *)
   k_max_applied_cuts : int;  (** Rows appended per round (default 32). *)
   k_cut_max_age : int;
       (** Pool evictions: rounds a cut may stay inactive (default 5). *)
@@ -53,7 +55,6 @@ type kernel = {
       (** Minimum violation for a pooled cut to be applied at the root
           (default 1e-5); node separation uses 10x this. *)
   k_rc_fixing : bool;  (** Reduced-cost variable fixing. *)
-  k_dense_basis : bool;  (** Dense explicit-inverse kernel ablation. *)
   k_pricing : Milp.Simplex.pricing;  (** Entering-column rule. *)
   k_harris : bool;  (** Harris/bound-flip ratio tests. *)
 }
@@ -103,9 +104,6 @@ type t = {
   presolve : presolve;
   parallel : parallel;
   heuristic : heuristic;
-  incremental : bool;
-      (** Sessions grow the live model and carry incumbent + cuts across
-          steps (default); [false] is the rebuild-each-step ablation. *)
   interrupt : bool Atomic.t option;
       (** Cooperative cancellation flag threaded into every solve this
           config drives: set it from a signal handler or another thread
@@ -118,8 +116,8 @@ type t = {
 
 val default : t
 (** [Approx { kstar = 10; loc_kstar = 20 }],
-    {!Milp.Branch_bound.default_options}, incremental, one worker,
-    seed 0, heuristic off. *)
+    {!Milp.Branch_bound.default_options}, one worker, seed 0,
+    heuristic off. *)
 
 val approx : ?kstar:int -> ?loc_kstar:int -> unit -> strategy
 (** [Approx] with defaults [kstar = 10], [loc_kstar = 20]. *)
@@ -148,6 +146,9 @@ val with_approx : ?kstar:int -> ?loc_kstar:int -> unit -> t -> t
     the {!approx} default. *)
 
 val with_kernel : kernel -> t -> t
+(** @raise Invalid_argument on [k_max_applied_cuts < 1],
+    [k_cut_max_age < 1], [k_cut_pool_size < 1] or
+    [k_cut_min_violation <= 0]. *)
 
 val with_presolving : presolve -> t -> t
 
@@ -176,63 +177,13 @@ val with_mem_stats : bool -> t -> t
 
 val with_log : bool -> t -> t
 
-val with_incremental : bool -> t -> t
-
 val with_interrupt : bool Atomic.t -> t -> t
 
 val with_on_incumbent : (float -> float -> unit) -> t -> t
 
-(** {2 Deprecated flat aliases}
-
-    One-field setters from before the group split, kept for one release
-    so out-of-tree callers keep compiling.  Each writes into the
-    corresponding group; prefer {!with_kernel} / {!with_presolving} /
-    {!with_parallelism}. *)
-
-val with_warm_start : bool -> t -> t
-
-val with_cuts : bool -> t -> t
-
-val with_cut_families : Milp.Cuts.family list -> t -> t
-(** Restrict separation to the given families.  Also flips the master
-    [k_cuts] switch: a non-empty list enables separation, [[]] disables
-    it (the [--cuts none] spelling). *)
-
-val with_max_applied_cuts : int -> t -> t
-(** @raise Invalid_argument on a cap < 1. *)
-
-val with_cut_max_age : int -> t -> t
-(** @raise Invalid_argument on an age < 1. *)
-
-val with_cut_pool_size : int -> t -> t
-(** @raise Invalid_argument on a size < 1. *)
-
-val with_cut_min_violation : float -> t -> t
-(** @raise Invalid_argument on a threshold <= 0. *)
-
-val with_rc_fixing : bool -> t -> t
-
-val with_dense_basis : bool -> t -> t
-
-val with_pricing : Milp.Simplex.pricing -> t -> t
-
-val with_harris : bool -> t -> t
-
-val with_presolve : bool -> t -> t
-(** Root presolve reduction stack (default [true]); [false] is the
-    [--no-presolve] ablation baseline. *)
-
-val with_presolve_passes : Milp.Presolve.pass list -> t -> t
-
-val with_presolve_template : bool -> t -> t
-
 val with_workers : int -> t -> t
-(** [0] = auto-detect at solve time.
+(** Set [parallel.par_workers]; [0] = auto-detect at solve time.
     @raise Invalid_argument on [n < 0]. *)
-
-val with_seed : int -> t -> t
-
-val with_scheduler : Milp.Scheduler.t -> t -> t
 
 (** {2 Per-request overrides}
 
@@ -251,7 +202,6 @@ type override = {
   o_workers : int option;
   o_seed : int option;
   o_scheduler : Milp.Scheduler.t option;
-  o_incremental : bool option;
   o_interrupt : bool Atomic.t option;
   o_on_incumbent : (float -> float -> unit) option;
 }
@@ -261,7 +211,8 @@ val no_override : override
 
 val override : override -> t -> t
 (** [override o c] applies every [Some] field of [o] onto [c], group by
-    group, in one merge. *)
+    group, in one merge.
+    @raise Invalid_argument where the matching setter would. *)
 
 (** {2 Accessors} *)
 

@@ -17,7 +17,6 @@ type options = {
   cut_pool_size : int;
   cut_min_violation : float;
   rc_fixing : bool;
-  dense_basis : bool;
   pricing : Simplex.pricing;
   harris : bool;
   mem_stats : bool;
@@ -46,7 +45,6 @@ let default_options =
     cut_pool_size = 500;
     cut_min_violation = 1e-5;
     rc_fixing = true;
-    dense_basis = false;
     pricing = Simplex.Devex;
     harris = true;
     mem_stats = false;
@@ -174,7 +172,7 @@ let propagate p integer lb ub =
   | Presolve.Feasible { lb; ub; _ } -> Some (lb, ub)
 
 let dive p integer int_tol lb0 ub0 (root : Simplex.result) lp_iters counters ~warm_start
-    ~dense ~pricing ~harris ~ws max_lps ~deadline =
+    ~pricing ~harris ~ws max_lps ~deadline =
   let n = p.Simplex.ncols in
   let lb = Array.copy lb0 and ub = Array.copy ub0 in
   let x = ref root.Simplex.primal in
@@ -222,7 +220,7 @@ let dive p integer int_tol lb0 ub0 (root : Simplex.result) lp_iters counters ~wa
             let r =
               Simplex.solve
                 ?basis:(if warm_start then !basis else None)
-                ~deadline ~dense ~pricing ~harris ~ws p ~lb ~ub
+                ~deadline ~pricing ~harris ~ws p ~lb ~ub
             in
             lp_iters := !lp_iters + r.Simplex.iterations;
             tally counters r;
@@ -280,7 +278,6 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
   let root_lb = Array.init nfull (Model.var_lb model) in
   let root_ub = Array.init nfull (Model.var_ub model) in
   let counters = { warm = 0; cold = 0; fallback = 0 } in
-  let dense = options.dense_basis in
   let pricing = options.pricing and harris = options.harris in
   (* One workspace for the whole sequential drive (root, cut loop,
      dives, node re-solves); worker domains get their own below.  An
@@ -577,9 +574,8 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
          more cuts cost more than the nodes they prune. *)
       let max_applied_cuts = options.max_applied_cuts in
       (* The conflict table over the reduced base rows under root
-         bounds, shared by the clique and odd-cycle separators.  Built
-         once, on first demand (both families read the same 0-1
-         structure, which never changes during the tree). *)
+         bounds, read by the clique separator.  Built once, on first
+         demand (the 0-1 structure never changes during the tree). *)
       let conflict_tbl =
         lazy (Conflicts.build p0 ~nrows:m0 ~integer ~lb:plb ~ub:pub)
       in
@@ -597,8 +593,8 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         end
       in
       (* Root cut loop: separate (GMI from the tableau, covers / cliques
-         / odd cycles / structural cuts from the base rows and conflict
-         table), pool, apply the most violated, re-solve by riding the
+         / structural cuts from the base rows and conflict table), pool,
+         apply the most violated, re-solve by riding the
          warm dual simplex on the grown basis; repeat until nothing
          separates, the bound tails off, or the round budget is spent.
          Every family derives from the root bounds, so the cuts are
@@ -617,7 +613,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
               let x = !r.Simplex.primal in
               let gmi =
                 if fam Cuts.F_gmi then
-                  Cuts.gomory ~dense !pref ~integer ~lb:plb ~ub:pub basis ~max_cuts:16
+                  Cuts.gomory !pref ~integer ~lb:plb ~ub:pub basis ~max_cuts:16
                 else []
               in
               let cov =
@@ -630,15 +626,10 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                   Cuts.cliques (Lazy.force conflict_tbl) ~x ~max_cuts:8
                 else []
               in
-              let cyc =
-                if fam Cuts.F_negcycle then
-                  Cuts.odd_cycles (Lazy.force conflict_tbl) ~x ~max_cuts:8
-                else []
-              in
               let ext = if fam Cuts.F_power then separate_external x else [] in
               List.iter
                 (fun c -> ignore (Cuts.add pool c ~x))
-                (List.concat [ gmi; cov; clq; cyc; ext ]);
+                (List.concat [ gmi; cov; clq; ext ]);
               let room = max_applied_cuts - Array.length !cut_index in
               let selected =
                 Cuts.select pool ~x ~max_cuts:(min 8 room)
@@ -652,7 +643,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                 let r' =
                   Simplex.solve
                     ?basis:(if options.warm_start then Some basis else None)
-                    ~deadline ~dense ~pricing ~harris ~ws:sws !pref ~lb ~ub
+                    ~deadline ~pricing ~harris ~ws:sws !pref ~lb ~ub
                 in
                 lp_iters := !lp_iters + r'.Simplex.iterations;
                 tally counters r';
@@ -700,7 +691,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
               let r' =
                 Simplex.solve
                   ?basis:(if options.warm_start then Some basis else None)
-                  ~deadline ~dense ~pricing ~harris ~ws:sws !pref ~lb ~ub
+                  ~deadline ~pricing ~harris ~ws:sws !pref ~lb ~ub
               in
               lp_iters := !lp_iters + r'.Simplex.iterations;
               tally counters r';
@@ -764,7 +755,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
             ref
               (Simplex.solve
                  ?basis:(node_basis node.nbasis)
-                 ~deadline ~dense ~pricing ~harris ~ws:sws !pref ~lb ~ub)
+                 ~deadline ~pricing ~harris ~ws:sws !pref ~lb ~ub)
           in
           lp_iters := !lp_iters + !r.Simplex.iterations;
           tally counters !r;
@@ -812,7 +803,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                   then begin
                     match
                       dive !pref integer options.int_tol lb ub r lp_iters counters
-                        ~warm_start:options.warm_start ~dense ~pricing ~harris ~ws:sws
+                        ~warm_start:options.warm_start ~pricing ~harris ~ws:sws
                         200 ~deadline
                     with
                     | Some (y, yobj) -> update_incumbent y yobj
@@ -832,8 +823,9 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         end
       in
       (* One turn of the sequential drive: false = the loop is over.
-         Shared verbatim between the plain recursive loop and the
-         scheduler-chained form below, so both walk the same tree. *)
+         Shared verbatim between the plain recursive loop, the
+         scheduler-chained form and the parallel ramp-up below, so all
+         three walk the same tree. *)
       let seq_step () =
         if Pqueue.is_empty queue || gap_closed () || !unbounded then false
         else if !nodes >= options.node_limit then false
@@ -916,28 +908,16 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         let run_parallel () =
           let nslots = Scheduler.nworkers sched in
           (* Phase 1 — sequential ramp-up: the root node (presolve, root
-             cut loop, first dive) and a few more run on the exact
-             sequential machinery until there is enough frontier to feed
-             every domain.  All cut-pool and working-problem writes
+             cut loop, first dive) and a few more run as turns of the
+             sequential drive ([seq_step]) until there is enough frontier
+             to feed every domain.  All cut-pool and working-problem writes
              happen in this phase; everything workers later read is
              frozen. *)
           let ramp_width = 2 * nslots in
           let ramp_nodes = 32 in
           let rec ramp () =
-            if
-              Pqueue.is_empty queue || gap_closed () || !unbounded
-              || stop_requested ()
-              || !nodes >= options.node_limit
-              || Pqueue.length queue >= ramp_width
-              || !nodes >= ramp_nodes
-            then ()
-            else if Clock.now () -. t0 > options.time_limit then timed_out := true
-            else
-              match Pqueue.pop queue with
-              | Some (_, node) ->
-                  process node;
-                  ramp ()
-              | None -> ()
+            if Pqueue.length queue < ramp_width && !nodes < ramp_nodes && seq_step () then
+              ramp ()
           in
           ramp ();
           if
@@ -1035,7 +1015,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                   let r =
                     Simplex.solve
                       ?basis:(node_basis node.nbasis)
-                      ~deadline ~dense ~pricing ~harris ~ws:wss.(wi) pw ~lb ~ub
+                      ~deadline ~pricing ~harris ~ws:wss.(wi) pw ~lb ~ub
                   in
                   st.ws_lp := !(st.ws_lp) + r.Simplex.iterations;
                   tally st.ws_counters r;
@@ -1066,8 +1046,8 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                           then begin
                             match
                               dive pw integer options.int_tol lb ub r st.ws_lp
-                                st.ws_counters ~warm_start:options.warm_start ~dense
-                                ~pricing ~harris ~ws:wss.(wi) 200 ~deadline
+                                st.ws_counters ~warm_start:options.warm_start ~pricing
+                                ~harris ~ws:wss.(wi) 200 ~deadline
                             with
                             | Some (y, yobj) -> update_inc y yobj
                             | None -> ()

@@ -21,8 +21,9 @@
     simplex repair, not a cold solve.  Once an incumbent exists,
     reduced-cost fixing pins integer variables whose reduced cost proves
     they cannot leave their bound in an improving solution.  Disable
-    with [cuts = false] / [rc_fixing = false] (the [--no-cuts] /
-    [--no-rc-fixing] bench ablations). *)
+    with [cut_families = []] / [rc_fixing = false] (the [--cuts none] /
+    [--no-rc-fixing] bench ablations); [cuts = false] also skips the
+    root cut loop itself. *)
 
 type options = {
   time_limit : float;  (** Wall-clock seconds; [infinity] = none. *)
@@ -49,16 +50,18 @@ type options = {
           simplex (default [true]); [false] forces cold two-phase
           solves everywhere — the ablation baseline. *)
   cuts : bool;
-      (** Separate cutting planes (default [true]): a root cut loop
-          over the enabled families, plus periodic cover/clique
-          separation at shallow nodes.  The master switch — [false]
-          disables every family and the [separators] closures. *)
+      (** Run the root cut loop and node separation at all (default
+          [true]).  Solver configs above this library leave it on and
+          use an empty [cut_families] as their off switch; it stays for
+          callers that time the root without its cut loop. *)
   cut_families : Cuts.family list;
       (** Which separation families run (default {!Cuts.all_families}):
-          Gomory mixed-integer, knapsack cover, conflict-clique,
-          odd-cycle (negative-cycle search), and the caller-supplied
-          structural [separators] (gated by {!Cuts.F_power}).  The
-          per-family ablation axis ([--cuts gmi,cover,...]). *)
+          Gomory mixed-integer, knapsack cover, conflict-clique, and the
+          caller-supplied structural [separators] (gated by
+          {!Cuts.F_power}), in a root cut loop plus periodic
+          cover/clique separation at shallow nodes.  The per-family
+          ablation axis ([--cuts gmi,cover,...]); [[]] turns cutting
+          planes off. *)
   cut_rounds : int;  (** Root cut-loop round budget (default 20). *)
   max_applied_cuts : int;
       (** Total cap on cuts promoted to problem rows (default 32):
@@ -76,11 +79,6 @@ type options = {
   rc_fixing : bool;
       (** Reduced-cost fixing of integer variables at nodes once an
           incumbent exists (default [true]). *)
-  dense_basis : bool;
-      (** Run every LP on the pre-PR dense explicit-inverse kernel
-          instead of the sparse LU one (default [false]) — the
-          [--dense-basis] ablation baseline.  Objectives and statuses
-          agree with the sparse kernel to solver tolerances. *)
   pricing : Simplex.pricing;
       (** Entering-column rule for every LP (default [Devex]);
           [Dantzig] restores the PR5 partial candidate-list scan — the

@@ -6,7 +6,7 @@
     conflicts with [j]?", "which variables does setting [j] to 1
     force?", and enumerates the exactly-one sets — the shared substrate
     for {!Presolve}'s probing fixings and for the structured cut
-    families ({!Cuts.cliques}, {!Cuts.odd_cycles}).
+    family ({!Cuts.cliques}).
 
     Mining rules (all sound for every integer-feasible point under the
     given bounds):

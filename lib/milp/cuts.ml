@@ -1,4 +1,4 @@
-type origin = Gomory | Cover | Clique | Cycle | Power
+type origin = Gomory | Cover | Clique | Power
 
 type cut = {
   c_row : (int * float) array;
@@ -10,27 +10,23 @@ type cut = {
 (* Cut families (the ablation axis)                                    *)
 (* ------------------------------------------------------------------ *)
 
-type family = F_gmi | F_cover | F_clique | F_negcycle | F_power
+type family = F_gmi | F_cover | F_clique | F_power
 
-let all_families = [ F_gmi; F_cover; F_clique; F_negcycle; F_power ]
+let all_families = [ F_gmi; F_cover; F_clique; F_power ]
 
 let family_name = function
   | F_gmi -> "gmi"
   | F_cover -> "cover"
   | F_clique -> "clique"
-  | F_negcycle -> "negcycle"
   | F_power -> "power"
 
 let family_of_string = function
   | "gmi" -> Ok F_gmi
   | "cover" -> Ok F_cover
   | "clique" -> Ok F_clique
-  | "negcycle" -> Ok F_negcycle
   | "power" -> Ok F_power
   | s ->
-      Error
-        (Printf.sprintf "unknown cut family %S (known: gmi, cover, clique, negcycle, power)"
-           s)
+      Error (Printf.sprintf "unknown cut family %S (known: gmi, cover, clique, power)" s)
 
 let families_of_string s =
   match String.trim s with
@@ -57,7 +53,6 @@ let family_of_origin = function
   | Gomory -> F_gmi
   | Cover -> F_cover
   | Clique -> F_clique
-  | Cycle -> F_negcycle
   | Power -> F_power
 
 type separator = float array -> cut list
@@ -194,8 +189,8 @@ let gmi_from_row (p : Simplex.problem) (t : Simplex.tableau) ~integer i =
     else normalize (Array.of_list !items) !le_rhs Gomory
   end
 
-let gomory ?(dense = false) p ~integer ~lb ~ub basis ~max_cuts =
-  match Simplex.tableau ~dense p ~lb ~ub basis with
+let gomory p ~integer ~lb ~ub basis ~max_cuts =
+  match Simplex.tableau p ~lb ~ub basis with
   | None -> []
   | Some t ->
       let n = t.Simplex.t_ncols in
@@ -386,180 +381,6 @@ let cliques (tbl : Conflicts.t) ~x ~max_cuts =
   |> List.map snd
 
 (* ------------------------------------------------------------------ *)
-(* Odd-cycle cuts via negative-cycle search                            *)
-(* ------------------------------------------------------------------ *)
-
-module Digraph = Netgraph.Digraph
-module Negcycle = Netgraph.Negcycle
-
-(* Extract a simple odd cycle from a closed walk of odd length (one
-   always exists): scan with a stack, splicing out any even loop at a
-   repeated node; an odd loop is returned directly, and whatever
-   survives the scan is itself a simple odd cycle. *)
-let simple_odd_cycle walk =
-  let stack = ref [] (* most recent first *) in
-  let depth = Hashtbl.create 16 in
-  let n = ref 0 in
-  let result = ref None in
-  (try
-     List.iter
-       (fun u ->
-         match Hashtbl.find_opt depth u with
-         | None ->
-             stack := u :: !stack;
-             Hashtbl.replace depth u !n;
-             incr n
-         | Some d ->
-             let len = !n - d in
-             if len mod 2 = 1 && len >= 3 then begin
-               (* Nodes at depths d .. n-1, oldest first; the closing
-                  arc is the walk arc (stack top -> u). *)
-               let rec take k acc = function
-                 | [] -> acc
-                 | v :: tl -> if k = 0 then acc else take (k - 1) (v :: acc) tl
-               in
-               result := Some (take len [] !stack);
-               raise Exit
-             end
-             else begin
-               (* Even loop: pop back to the first occurrence of [u];
-                  walk continuity is preserved because both ends of the
-                  spliced segment are the same node. *)
-               let rec pop () =
-                 match !stack with
-                 | v :: tl when Hashtbl.find depth v > d ->
-                     Hashtbl.remove depth v;
-                     stack := tl;
-                     decr n;
-                     pop ()
-                 | _ -> ()
-               in
-               pop ()
-             end)
-       walk
-   with Exit -> ());
-  match !result with
-  | Some c -> Some c
-  | None ->
-      let c = List.rev !stack in
-      let k = List.length c in
-      if k >= 3 && k mod 2 = 1 then Some c else None
-
-let odd_cycles (tbl : Conflicts.t) ~x ~max_cuts =
-  let nx = Array.length x in
-  (* Only fractional conflict vertices can lie on a violated odd cycle
-     worth finding (an integral vertex contributes slack). *)
-  let verts =
-    Conflicts.vertices tbl
-    |> List.filter (fun j -> j < nx && x.(j) > 0.05 && x.(j) < 0.999)
-  in
-  let nv = List.length verts in
-  if nv < 3 then []
-  else begin
-    let vid = Array.of_list verts in
-    let id_of = Hashtbl.create nv in
-    Array.iteri (fun i j -> Hashtbl.add id_of j i) vid;
-    (* Double cover of the conflict graph: node [(i, parity)] is
-       [i + parity*nv]; every conflict arc flips parity and carries
-       weight max(eps, 1 - x_u - x_v) >= 0.  A walk from [(s,0)] to
-       [(s,1)] is an odd closed walk through [s], and its weight is
-       [k - 2*sum x] over its [k] arcs — below 1 exactly when the
-       odd-cycle inequality [sum x <= (k-1)/2] is violated.  Closing
-       with a return arc [(s,1) -> (s,0)] of weight just above -1 turns
-       "violated odd cycle through [s]" into "negative cycle", which
-       Bellman-Ford ({!Negcycle}) finds exactly.  Clamping at eps only
-       weakens arcs, so any cycle found is genuinely violated (and is
-       re-checked explicitly below). *)
-    let base = Digraph.create (2 * nv) in
-    Array.iteri
-      (fun i j ->
-        List.iter
-          (fun u ->
-            match Hashtbl.find_opt id_of u with
-            | None -> ()
-            | Some iu ->
-                let w = Float.max 1e-7 (1. -. x.(j) -. x.(u)) in
-                Digraph.add_edge base ~w i (iu + nv);
-                Digraph.add_edge base ~w (i + nv) iu)
-          (Conflicts.neighbors tbl j))
-      vid;
-    (* Route through the most fractional vertices first. *)
-    let sources =
-      List.init nv Fun.id
-      |> List.sort (fun a b ->
-             compare
-               (Float.abs (x.(vid.(a)) -. 0.5))
-               (Float.abs (x.(vid.(b)) -. 0.5)))
-      |> List.filteri (fun i _ -> i < Int.max 8 (2 * max_cuts))
-    in
-    let seen = Hashtbl.create 16 in
-    let out = ref [] in
-    List.iter
-      (fun s ->
-        if List.length !out < max_cuts then begin
-          let g = Digraph.copy base in
-          Digraph.add_edge g ~w:(-1. +. 2e-4) (s + nv) s;
-          match (Negcycle.run ~sources:[ s ] g).Negcycle.cycle with
-          | None -> ()
-          | Some nodes ->
-              (* Rotate the cycle to start just past the return arc
-                 (the unique same-variable transition), project parities
-                 away, and drop the final repeat of [s]'s variable: what
-                 remains is a closed odd walk in the conflict graph. *)
-              let arr = Array.of_list nodes in
-              let m = Array.length arr in
-              let var i = vid.(arr.(i) mod nv) in
-              let cut_at = ref (-1) in
-              for i = 0 to m - 1 do
-                if var i = var ((i + 1) mod m) then cut_at := i
-              done;
-              if !cut_at >= 0 && m >= 4 then begin
-                let walk =
-                  List.init (m - 1) (fun i -> var ((!cut_at + 1 + i) mod m))
-                in
-                match simple_odd_cycle walk with
-                | None -> ()
-                | Some cyc ->
-                    let carr = Array.of_list cyc in
-                    let k = Array.length carr in
-                    let ok = ref (k >= 3 && k mod 2 = 1) in
-                    for i = 0 to k - 1 do
-                      if
-                        not
-                          (Conflicts.conflict tbl carr.(i)
-                             carr.((i + 1) mod k))
-                      then ok := false
-                    done;
-                    let lhs =
-                      Array.fold_left (fun acc j -> acc +. x.(j)) 0. carr
-                    in
-                    let rhs = float_of_int (k - 1) /. 2. in
-                    if !ok && lhs > rhs +. 1e-4 then begin
-                      let members = List.sort_uniq compare cyc in
-                      let key =
-                        String.concat "," (List.map string_of_int members)
-                      in
-                      if
-                        (not (Hashtbl.mem seen key))
-                        && List.length members = k
-                      then begin
-                        Hashtbl.add seen key ();
-                        let row =
-                          Array.of_list
-                            (List.map (fun j -> (j, 1.0)) members)
-                        in
-                        match normalize row rhs Cycle with
-                        | Some c -> out := c :: !out
-                        | None -> ()
-                      end
-                    end
-              end
-        end)
-      sources;
-    !out
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Cut pool                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -695,8 +516,8 @@ let members pool = List.map (fun e -> e.e_cut) pool.members
 (* ------------------------------------------------------------------ *)
 
 (* A literal-form cut reads  sum_l y_l <= d  with  y_l = x_j (positive
-   coefficient) or 1 - x_j (negative, complemented) — covers, cliques,
-   odd cycles and the structural power cuts are all of this shape.
+   coefficient) or 1 - x_j (negative, complemented) — covers, cliques
+   and the structural power cuts are all of this shape.
    Recover (literals, d) from the normalized stored form: coefficients
    must share one magnitude s, and rhs/s + #complements must be a
    nonnegative integer.  Gomory cuts are excluded: their coefficients

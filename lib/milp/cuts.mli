@@ -1,6 +1,6 @@
 (** Cutting-plane separation with a managed cut pool.
 
-    Five families of globally valid cuts for the paper's MILPs (binary
+    Four families of globally valid cuts for the paper's MILPs (binary
     edge/path routing rows 1a–1e, covering-style localization rows
     4a–4b):
 
@@ -16,10 +16,6 @@
     - {b Clique cuts} from the mined conflict table ({!Conflicts}):
       pairwise-conflicting sets give [sum_{j in Q} x_j <= 1], separated
       by greedy extension from high-value vertices.
-    - {b Odd-cycle cuts} on the same conflict graph: an odd cycle [C]
-      of conflicts gives [sum_{j in C} x_j <= (|C|-1)/2], separated
-      {e exactly} by Bellman–Ford negative-cycle search
-      ({!Netgraph.Negcycle}) on a reweighted parity double cover.
     - {b Structural power/RSS/energy cuts} built outside this module
       (from the instance data, see the core library) and injected
       through {!separator} closures; they carry the {!Power} origin.
@@ -33,7 +29,7 @@
     ({!Basis.append_row}), so a separation round costs a handful of dual
     pivots instead of a cold solve. *)
 
-type origin = Gomory | Cover | Clique | Cycle | Power
+type origin = Gomory | Cover | Clique | Power
 
 type cut = {
   c_row : (int * float) array;
@@ -44,14 +40,14 @@ type cut = {
 
 (** {1 Families} *)
 
-type family = F_gmi | F_cover | F_clique | F_negcycle | F_power
-(** The ablation axis: which separation families may run.  [F_negcycle]
-    produces {!Cycle}-origin cuts, the others match their name. *)
+type family = F_gmi | F_cover | F_clique | F_power
+(** The ablation axis: which separation families may run.  Each
+    produces the cuts of the origin it names. *)
 
 val all_families : family list
 
 val family_name : family -> string
-(** ["gmi"], ["cover"], ["clique"], ["negcycle"], ["power"]. *)
+(** ["gmi"], ["cover"], ["clique"], ["power"]. *)
 
 val family_of_string : string -> (family, string) result
 
@@ -85,7 +81,6 @@ val satisfied : ?tol:float -> cut -> float array -> bool
 (** {1 Separation} *)
 
 val gomory :
-  ?dense:bool ->
   Simplex.problem ->
   integer:bool array ->
   lb:float array ->
@@ -100,8 +95,7 @@ val gomory :
     out through their defining rows so the result is purely structural.
     Rows with free nonbasics, tiny fractionality, or wild coefficient
     ranges are skipped for numerical safety.  At most [max_cuts]
-    most-fractional rows are used.  [dense] selects the ablation basis
-    kernel for the tableau solves, as in {!Simplex.solve}. *)
+    most-fractional rows are used. *)
 
 val covers :
   Simplex.problem ->
@@ -125,17 +119,6 @@ val cliques : Conflicts.t -> x:float array -> max_cuts:int -> cut list
     extension (by decreasing LP value) seeded from the highest-value
     conflict vertices; only cliques violated by more than 1e-4 are
     returned, most violated first. *)
-
-val odd_cycles : Conflicts.t -> x:float array -> max_cuts:int -> cut list
-(** Separate odd-cycle inequalities [sum_{j in C} x_j <= (|C|-1)/2]
-    ([C] an odd cycle of the conflict graph) against [x].  Exact
-    separation per source vertex: on the parity double cover of the
-    conflict graph with arc weights [max(eps, 1 - x_u - x_v)] and a
-    [-1] return arc, a violated odd cycle through the source is
-    precisely a negative cycle, found by Bellman–Ford
-    ({!Netgraph.Negcycle}).  Sources are the most fractional conflict
-    vertices; extracted cycles are simplified to simple odd cycles and
-    re-checked for violation before emission. *)
 
 (** {1 Pool} *)
 
@@ -180,7 +163,7 @@ val certify_cover :
   ub:float array ->
   cut -> bool
 (** [certify_cover p ~nrows ~integer ~lb ~ub c] re-proves a pooled
-    literal-form cut ({!Cover}, {!Clique}, {!Cycle}, or {!Power} —
+    literal-form cut ({!Cover}, {!Clique} or {!Power} —
     anything of the shape [sum_l y_l <= d] with [y_l] a binary variable
     or its complement) against the first [nrows] (base) rows of a
     {e grown} problem under its root bounds, without reference to the

@@ -491,7 +491,7 @@ let factorize ~m col =
        done;
        let core = { cm = m; prow; pcol; li; lv; ui; uv; udiag; cnnz = !cnnz } in
        let t = { m; core; etas = [||]; neta = 0; enz = 0; ws = Array.make m 0. } in
-       (* Conditioning probe, mirroring the dense kernel: a factorization
+       (* Conditioning probe: a factorization
           whose solve cannot reproduce B·(B⁻¹·1) = 1 to a relative 1e-8
           would silently corrupt basic values downstream; reject it so
           callers fall back to a cold start. *)

@@ -43,8 +43,7 @@ val factorize : m:int -> (int -> (int * float) array) -> t option
     summed, as in constraint-column storage).  Returns [None] when the
     matrix is singular or fails the conditioning probe (solving against
     the all-ones vector must reproduce it to a relative 1e-8), so a
-    caller can fall back to a cold start exactly as with the dense
-    kernel. *)
+    caller can fall back to a cold start. *)
 
 val dim : t -> int
 

@@ -548,8 +548,8 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
         incr rounds;
         again := false;
         (* The shared conflict/clique table (also the substrate of the
-           clique and odd-cycle cut separators) mined under the current
-           working bounds; its slacks derive from the same [tol]. *)
+           clique cut separator) mined under the current working
+           bounds; its slacks derive from the same [tol]. *)
         let tbl =
           Conflicts.build ~tol ~rows:active p ~nrows:m ~integer ~lb:wlb
             ~ub:wub

@@ -1,17 +1,19 @@
-(* Many-solves-many-workers generalization of [Node_pool]: the pool of
-   worker domains is owned here, for the life of the process, and every
-   registered solve brings its own heaps, in-flight lists and pending
-   counter.  The per-solve locking discipline is exactly the PR4 one;
-   what is new is the claim step, which first picks a *solve* (weighted
+(* Work-stealing pool shared by many solves: the worker domains are
+   owned here, for the life of the process, and every registered solve
+   brings its own heaps, in-flight lists and pending counter.  Each heap
+   has its own lock; the claim step first picks a *solve* (weighted
    fair by tasks served) and only then a heap within it. *)
 
 type solve = {
   weight : float;
   heaps : (int -> unit) Pqueue.t array;
   hlocks : Mutex.t array;
-  (* Advisory minimum key per heap ([infinity] = believed empty); a
-     victim-selection hint only, the heap under its lock is
-     authoritative. *)
+  (* Advisory size and minimum key per heap, written under the heap's
+     lock; victim-selection and idle-check hints only, the heap under
+     its lock is authoritative.  Emptiness is the size, never the key:
+     a task queued with key [infinity] is as visible and stealable as
+     any other. *)
+  sizes : int Atomic.t array;
   mins : float Atomic.t array;
   (* Keys popped from heap [i] whose task has not retired yet, guarded
      by [hlocks.(i)], so [best_bound] counts nodes mid-LP on a worker. *)
@@ -61,17 +63,19 @@ let try_heap sv i =
   match Pqueue.pop sv.heaps.(i) with
   | Some (k, task) ->
       sv.inflight.(i) := k :: !(sv.inflight.(i));
+      Atomic.set sv.sizes.(i) (Pqueue.length sv.heaps.(i));
       Atomic.set sv.mins.(i)
         (match Pqueue.peek_key sv.heaps.(i) with Some k' -> k' | None -> infinity);
       Mutex.unlock sv.hlocks.(i);
       Some (i, k, task)
   | None ->
+      Atomic.set sv.sizes.(i) 0;
       Atomic.set sv.mins.(i) infinity;
       Mutex.unlock sv.hlocks.(i);
       None
 
-(* Claim one node of [sv]: own heap first, then steal from the heap
-   advertising the best minimum.  [running] is incremented *before* the
+(* Claim one node of [sv]: own heap first, then steal from the
+   non-empty heap advertising the best minimum.  [running] is incremented *before* the
    stop re-check so the stop/await handshake is race-free: once an
    awaiter has observed [stopped && running = 0], any claim that started
    after must itself observe the stop flag and back out. *)
@@ -89,9 +93,9 @@ let claim_solve sv slot =
         let n = Array.length sv.heaps in
         let victim = ref (-1) and best = ref infinity in
         for i = 0 to n - 1 do
-          if i <> slot then begin
+          if i <> slot && Atomic.get sv.sizes.(i) > 0 then begin
             let k = Atomic.get sv.mins.(i) in
-            if k < !best then begin
+            if !victim < 0 || k < !best then begin
               best := k;
               victim := i
             end
@@ -147,7 +151,7 @@ let retire t sv i k =
 let has_visible sv =
   (not (Atomic.get sv.stop_flag))
   && Atomic.get sv.pending > 0
-  && Array.exists (fun m -> Atomic.get m < infinity) sv.mins
+  && Array.exists (fun n -> Atomic.get n > 0) sv.sizes
 
 let rec run_worker t slot =
   if Atomic.get t.shutdown_flag then ()
@@ -164,7 +168,7 @@ let rec run_worker t slot =
         (* Nothing visible in any solve; in-flight tasks may still push
            children, so sleep until a push / retirement / submit / stop.
            The re-check happens under the same lock every broadcaster
-           holds, so the wakeup cannot be lost.  A stale advisory min
+           holds, so the wakeup cannot be lost.  A stale advisory size
            (thief race) keeps [has_visible] true and we retry the claim
            instead of sleeping; the losing [try_heap] corrects it. *)
         Mutex.lock t.lock;
@@ -199,6 +203,7 @@ let submit ?(weight = 1.) t =
       weight;
       heaps = Array.init t.nworkers (fun _ -> Pqueue.create ());
       hlocks = Array.init t.nworkers (fun _ -> Mutex.create ());
+      sizes = Array.init t.nworkers (fun _ -> Atomic.make 0);
       mins = Array.init t.nworkers (fun _ -> Atomic.make infinity);
       inflight = Array.init t.nworkers (fun _ -> ref []);
       pending = Atomic.make 0;
@@ -226,6 +231,7 @@ let push h ~worker key task =
   Atomic.incr sv.pending;
   Mutex.lock sv.hlocks.(i);
   Pqueue.push sv.heaps.(i) key task;
+  Atomic.set sv.sizes.(i) (Pqueue.length sv.heaps.(i));
   if key < Atomic.get sv.mins.(i) then Atomic.set sv.mins.(i) key;
   Mutex.unlock sv.hlocks.(i);
   broadcast h.sched

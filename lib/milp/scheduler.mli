@@ -1,22 +1,20 @@
 (** Cross-solve domain scheduler: many solves, many workers.
 
-    {!Node_pool} (PR4) schedules the nodes of {e one} branch & bound
-    search over [nworkers] domains it does not own — the search spawns
-    the domains, runs them to exhaustion, and joins them.  A persistent
-    process serving many concurrent solves cannot afford that shape:
-    spawning a domain set per request thrashes the OS scheduler, and a
-    solve that finishes early leaves its domains idle while another
-    solve starves.  This module inverts the ownership: the scheduler
-    {e owns} a fixed pool of worker domains for the life of the process
-    and multiplexes them across every concurrently registered solve.
+    A persistent process serving many concurrent solves cannot afford
+    a domain set spawned and joined per search: that thrashes the OS
+    scheduler, and a solve that finishes early leaves its domains idle
+    while another solve starves.  The scheduler therefore {e owns} a
+    fixed pool of worker domains for the life of the process and
+    multiplexes them across every concurrently registered solve.
 
-    Structure per registered solve (a {!handle}), generalizing the
-    node-pool invariants one level up:
+    Structure per registered solve (a {!handle}):
 
     - One min-heap per worker slot, each under its own mutex — a worker
-      pushes children onto its own heap and steals within the solve by
-      advisory minimum key, exactly the PR4 discipline, so per-solve
-      expansion order stays close to global best-first.
+      pushes children onto its own heap and steals within the solve
+      from the non-empty heap with the best advisory minimum key, so
+      per-solve expansion order stays close to global best-first.  Any
+      queued node is visible and stealable, whatever its key
+      ([infinity] included).
     - A per-solve [pending] counter incremented {e before} a node is
       visible and decremented {e after} its children are pushed, so
       [pending = 0] is an exhaustion proof for {e that} solve alone,
@@ -72,7 +70,7 @@ val push : handle -> worker:int -> float -> (int -> unit) -> unit
     runs as [task slot] on some worker slot; children it pushes should
     use that slot as their [~worker].  Safe from any domain or thread,
     including after {!stop} (the node is accepted and simply remains
-    queued, as in {!Node_pool}). *)
+    queued). *)
 
 val best_bound : handle -> float
 (** Minimum key over this solve's queued and in-flight nodes

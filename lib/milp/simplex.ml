@@ -43,14 +43,6 @@ let of_model m =
    translation. *)
 type vstat = Basis.vstat = Basic | At_lower | At_upper | Free_zero
 
-(* The basis representation behind FTRAN/BTRAN.  The sparse LU kernel is
-   the default; the dense explicit inverse survives as an ablation
-   baseline ([?dense] on {!solve}) so the bench can report the kernel
-   speedup honestly. *)
-type kernel =
-  | Dense of float array array  (* explicit inverse, m x m *)
-  | Sparse of Lu.t
-
 (* ------------------------------------------------------------------ *)
 (* Per-worker workspace (arena)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -182,10 +174,9 @@ type state = {
   ub : float array;
   stat : vstat array;
   basis : int array;  (* column basic in each row *)
-  dense : bool;  (* which kernel [refactorize] rebuilds *)
   pricing : pricing;
   harris : bool;
-  mutable kern : kernel;
+  mutable kern : Lu.t;  (* factorization of the basis matrix *)
   xb : float array;  (* values of basic variables per row *)
   cost : float array;  (* current-phase cost, length ntot *)
   (* Scratch vectors from the workspace, reused by every iteration
@@ -216,10 +207,9 @@ let pivot_tol = 1e-9
    relaxation admits.  Matches the primal feasibility tolerance. *)
 let harris_tol = 1e-7
 
-(* Refactorize once the eta file (or dense update chain) is this long:
-   each product-form eta both slows the solves down and compounds
-   rounding, so the budget bounds drift across warm-start generations
-   exactly like the old dense [refresh_age] did. *)
+(* Refactorize once the eta file is this long: each product-form eta
+   both slows the solves down and compounds rounding, so the budget
+   bounds drift across warm-start generations. *)
 let eta_limit = 64
 
 let nb_value st j =
@@ -229,12 +219,15 @@ let nb_value st j =
   | Free_zero -> 0.
   | Basic -> invalid_arg "nb_value: basic"
 
-(* Materialize one CSC column as a tuple array — only for the (rare)
-   factorization callbacks; the per-iteration loops read the CSC buffers
-   directly. *)
-let col_array st j =
-  let s = st.colp.(j) and e = st.colp.(j + 1) in
-  Array.init (e - s) (fun k -> (st.coli.(s + k), FA.get st.colv (s + k)))
+(* Factorize the basis matrix whose column at position [i] is CSC
+   column [basis.(i)].  Each column is materialized as a tuple array —
+   only for this (rare) call; the per-iteration loops read the CSC
+   buffers directly. *)
+let factor_basis ~m colp coli colv basis =
+  Lu.factorize ~m (fun i ->
+      let j = basis.(i) in
+      let s = colp.(j) and e = colp.(j + 1) in
+      Array.init (e - s) (fun k -> (coli.(s + k), FA.get colv (s + k))))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel operations                                                   *)
@@ -242,54 +235,26 @@ let col_array st j =
 
 (* y = c_B^T B^{-1}, into [st.wy] (row-indexed). *)
 let compute_duals st =
-  match st.kern with
-  | Dense binv ->
-      Array.fill st.wy 0 st.m 0.;
-      for i = 0 to st.m - 1 do
-        let cb = st.cost.(st.basis.(i)) in
-        if cb <> 0. then begin
-          let row = binv.(i) in
-          for k = 0 to st.m - 1 do
-            st.wy.(k) <- st.wy.(k) +. (cb *. row.(k))
-          done
-        end
-      done
-  | Sparse lu ->
-      for i = 0 to st.m - 1 do
-        st.wy.(i) <- st.cost.(st.basis.(i))
-      done;
-      Lu.btran lu st.wy
+  for i = 0 to st.m - 1 do
+    st.wy.(i) <- st.cost.(st.basis.(i))
+  done;
+  Lu.btran st.kern st.wy
 
 (* w = B^{-1} A_j, into [st.ww] (position-indexed). *)
 let ftran_col st j =
   Array.fill st.ww 0 st.m 0.;
-  (match st.kern with
-  | Dense binv ->
-      for k = st.colp.(j) to st.colp.(j + 1) - 1 do
-        let a = FA.get st.colv k in
-        if a <> 0. then begin
-          let r = st.coli.(k) in
-          for i = 0 to st.m - 1 do
-            st.ww.(i) <- st.ww.(i) +. (binv.(i).(r) *. a)
-          done
-        end
-      done
-  | Sparse lu ->
-      for k = st.colp.(j) to st.colp.(j + 1) - 1 do
-        let r = st.coli.(k) in
-        st.ww.(r) <- st.ww.(r) +. FA.get st.colv k
-      done;
-      Lu.ftran lu st.ww)
+  for k = st.colp.(j) to st.colp.(j + 1) - 1 do
+    let r = st.coli.(k) in
+    st.ww.(r) <- st.ww.(r) +. FA.get st.colv k
+  done;
+  Lu.ftran st.kern st.ww
 
 (* rho = e_r^T B^{-1} (row [r] of the inverse), into [st.wrho]
    (row-indexed). *)
 let binv_row st r =
-  match st.kern with
-  | Dense binv -> Array.blit binv.(r) 0 st.wrho 0 st.m
-  | Sparse lu ->
-      Array.fill st.wrho 0 st.m 0.;
-      st.wrho.(r) <- 1.0;
-      Lu.btran lu st.wrho
+  Array.fill st.wrho 0 st.m 0.;
+  st.wrho.(r) <- 1.0;
+  Lu.btran st.kern st.wrho
 
 let reduced_cost st y j =
   let d = ref st.cost.(j) in
@@ -320,153 +285,29 @@ let recompute_xb st =
         done
     end
   done;
-  match st.kern with
-  | Dense binv ->
-      for i = 0 to st.m - 1 do
-        let acc = ref 0. in
-        let row = binv.(i) in
-        for k = 0 to st.m - 1 do
-          acc := !acc +. (row.(k) *. resid.(k))
-        done;
-        st.xb.(i) <- !acc
-      done
-  | Sparse lu ->
-      Array.blit resid 0 st.xb 0 st.m;
-      Lu.ftran lu st.xb
+  Array.blit resid 0 st.xb 0 st.m;
+  Lu.ftran st.kern st.xb
 
 (* Rebuild the factorization (and xb) from scratch — numerical hygiene.
    Returns false, leaving the state untouched, when the basis matrix is
    singular or fails its conditioning probe. *)
 let refactorize st =
-  let m = st.m in
-  if not st.dense then begin
-    match Lu.factorize ~m (fun i -> col_array st st.basis.(i)) with
-    | Some lu ->
-        st.kern <- Sparse lu;
-        st.age <- 0;
-        recompute_xb st;
-        true
-    | None -> false
-  end
-  else begin
-    (* Assemble the basis matrix and invert via Gauss-Jordan with
-       partial pivoting. *)
-    let a = Array.init m (fun _ -> Array.make m 0.) in
-    let inv = Array.init m (fun i -> Array.init m (fun k -> if i = k then 1.0 else 0.)) in
-    for i = 0 to m - 1 do
-      (* Accumulate rather than assign: ftran/btran sum duplicate entries
-         within a sparse column, and the factorization must invert the
-         same matrix they apply. *)
-      let j = st.basis.(i) in
-      for k = st.colp.(j) to st.colp.(j + 1) - 1 do
-        a.(st.coli.(k)).(i) <- a.(st.coli.(k)).(i) +. FA.get st.colv k
-      done
-    done;
-    let ok = ref true in
-    for col = 0 to m - 1 do
-      if !ok then begin
-        let piv = ref col in
-        for i = col + 1 to m - 1 do
-          if Float.abs a.(i).(col) > Float.abs a.(!piv).(col) then piv := i
-        done;
-        if Float.abs a.(!piv).(col) < 1e-12 then ok := false
-        else begin
-          if !piv <> col then begin
-            let tmp = a.(col) in
-            a.(col) <- a.(!piv);
-            a.(!piv) <- tmp;
-            let tmp = inv.(col) in
-            inv.(col) <- inv.(!piv);
-            inv.(!piv) <- tmp
-          end;
-          let d = a.(col).(col) in
-          for k = 0 to m - 1 do
-            a.(col).(k) <- a.(col).(k) /. d;
-            inv.(col).(k) <- inv.(col).(k) /. d
-          done;
-          for i = 0 to m - 1 do
-            if i <> col then begin
-              let f = a.(i).(col) in
-              if f <> 0. then
-                for k = 0 to m - 1 do
-                  a.(i).(k) <- a.(i).(k) -. (f *. a.(col).(k));
-                  inv.(i).(k) <- inv.(i).(k) -. (f *. inv.(col).(k))
-                done
-            end
-          done
-        end
-      end
-    done;
-    (* Gauss-Jordan "succeeds" on a near-singular basis (every pivot
-       clears 1e-12) yet the computed inverse can be off by O(cond·eps) —
-       whole units at condition 1e14 — which silently corrupts [xb] and
-       the objective.  Probe the product on the all-ones vector and
-       reject ill-conditioned bases so callers fall back to a cold solve
-       that picks a different basis path. *)
-    if !ok then begin
-      let y = Array.make m 0. in
-      for i = 0 to m - 1 do
-        let acc = ref 0. in
-        let row = inv.(i) in
-        for k = 0 to m - 1 do
-          acc := !acc +. row.(k)
-        done;
-        y.(i) <- !acc
-      done;
-      let z = Array.make m 0. in
-      for i = 0 to m - 1 do
-        if y.(i) <> 0. then begin
-          let j = st.basis.(i) in
-          for k = st.colp.(j) to st.colp.(j + 1) - 1 do
-            z.(st.coli.(k)) <- z.(st.coli.(k)) +. (FA.get st.colv k *. y.(i))
-          done
-        end
-      done;
-      let err = ref 0. in
-      let ymax = ref 1. in
-      for i = 0 to m - 1 do
-        err := Float.max !err (Float.abs (z.(i) -. 1.));
-        ymax := Float.max !ymax (Float.abs y.(i))
-      done;
-      if !err > 1e-8 *. !ymax then ok := false
-    end;
-    if !ok then begin
-      st.kern <- Dense inv;
+  match factor_basis ~m:st.m st.colp st.coli st.colv st.basis with
+  | Some lu ->
+      st.kern <- lu;
       st.age <- 0;
-      recompute_xb st
-    end;
-    !ok
-  end
+      recompute_xb st;
+      true
+  | None -> false
 
 (* Basis change at position [r]: the entering column's FTRAN image [w]
-   defines either one elementary row transform of the dense inverse or
-   one product-form eta appended to the LU kernel.  A shaky eta (pivot
-   tiny relative to the column) or a full eta file triggers an immediate
-   refactorization. *)
+   defines one product-form eta appended to the LU kernel.  A shaky eta
+   (pivot tiny relative to the column) or a full eta file triggers an
+   immediate refactorization. *)
 let kernel_update st r w =
-  match st.kern with
-  | Dense binv ->
-      let wr = w.(r) in
-      let brow = binv.(r) in
-      for k = 0 to st.m - 1 do
-        brow.(k) <- brow.(k) /. wr
-      done;
-      for i = 0 to st.m - 1 do
-        if i <> r then begin
-          let f = w.(i) in
-          if Float.abs f > 0. then begin
-            let row = binv.(i) in
-            for k = 0 to st.m - 1 do
-              row.(k) <- row.(k) -. (f *. brow.(k))
-            done
-          end
-        end
-      done;
-      st.age <- st.age + 1
-  | Sparse lu ->
-      let stable = Lu.update lu ~r ~w in
-      st.age <- st.age + 1;
-      if (not stable) || Lu.neta lu >= eta_limit then ignore (refactorize st)
+  let stable = Lu.update st.kern ~r ~w in
+  st.age <- st.age + 1;
+  if (not stable) || Lu.neta st.kern >= eta_limit then ignore (refactorize st)
 
 (* ------------------------------------------------------------------ *)
 (* Pricing                                                             *)
@@ -746,33 +587,25 @@ let current_objective st =
   done;
   !total
 
-(* Snapshot the basis header plus (when obtainable) a sparse factor of
-   the basis matrix — never a dense inverse, so node records cost
-   O(nonzeros) instead of O(m²).  In dense-ablation mode the factor is
-   computed fresh here; a failure just yields a header-only snapshot
-   that restores via refactorization. *)
+(* Snapshot the basis header plus the sparse factor of the basis
+   matrix, so node records cost O(nonzeros) instead of O(m²). *)
 let snapshot st =
-  let factor =
-    match st.kern with
-    | Sparse lu -> Some (Lu.snapshot lu)
-    | Dense _ -> (
-        match Lu.factorize ~m:st.m (fun i -> col_array st st.basis.(i)) with
-        | Some lu -> Some (Lu.snapshot lu)
-        | None -> None)
-  in
-  Basis.make ~ncols:st.p.ncols ~nrows:st.m ~basis:st.basis ~stat:st.stat ~factor
+  Basis.make ~ncols:st.p.ncols ~nrows:st.m ~basis:st.basis ~stat:st.stat
+    ~factor:(Some (Lu.snapshot st.kern))
 
 (* How stale a snapshot's factor may be — in appended etas — before a
    restore pays for a fresh factorization.  Comparable to [eta_limit],
    so warm-started chains see no worse drift than a long cold solve. *)
 let refresh_age = eta_limit
 
-let init_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub =
+(* Shared prologue of [init_state] and [warm_state]: size the workspace
+   for [p], load the structural working bounds and encode each row's
+   sense in its slack's bounds (a.x + s = b). *)
+let prepare_workspace (ws : workspace) p ~lb:wlb ~ub:wub =
   let m = Array.length p.rows in
   let n = p.ncols in
   let ntot = n + (2 * m) in
   build_csc ws p m;
-  let colp = ws.colp and coli = ws.coli and colv = ws.colv in
   ws.a_lb <- ensure_f ws.a_lb ntot;
   ws.a_ub <- ensure_f ws.a_ub ntot;
   ws.a_cost <- ensure_f ws.a_cost ntot;
@@ -792,7 +625,6 @@ let init_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub =
   let lb = ws.a_lb and ub = ws.a_ub in
   Array.blit wlb 0 lb 0 n;
   Array.blit wub 0 ub 0 n;
-  (* Slack bounds encode the row sense: a.x + s = b. *)
   for i = 0 to m - 1 do
     let s = n + i in
     match p.senses.(i) with
@@ -805,7 +637,29 @@ let init_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub =
     | Model.Eq ->
         lb.(s) <- 0.;
         ub.(s) <- 0.
-  done;
+  done
+
+(* A solver state over the arrays [prepare_workspace] sized, with
+   basis factor [kern] of age [age]. *)
+let state_of_workspace ~pricing ~harris (ws : workspace) p ~kern ~age =
+  let m = Array.length p.rows in
+  { p; m; ntot = p.ncols + (2 * m);
+    colp = ws.colp; coli = ws.coli; colv = ws.colv;
+    lb = ws.a_lb; ub = ws.a_ub; stat = ws.a_stat; basis = ws.a_basis;
+    pricing; harris; kern; xb = ws.a_xb; cost = ws.a_cost;
+    wy = ws.a_wy; ww = ws.a_ww; wrho = ws.a_wrho; wres = ws.a_wres;
+    dred = ws.a_dred; dw = ws.a_dw; wflip = ws.a_wflip;
+    cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr;
+    d_valid = false; niter = 0; degen_count = 0; bland = false;
+    price_ptr = 0; age }
+
+let init_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub =
+  prepare_workspace ws p ~lb ~ub;
+  let m = Array.length p.rows in
+  let n = p.ncols in
+  let ntot = n + (2 * m) in
+  let colp = ws.colp and coli = ws.coli and colv = ws.colv in
+  let lb = ws.a_lb and ub = ws.a_ub in
   let stat = ws.a_stat in
   for j = 0 to n - 1 do
     stat.(j) <-
@@ -829,7 +683,6 @@ let init_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub =
       done
   done;
   let basis = ws.a_basis in
-  let diag = Array.make m 1.0 in
   let xb = ws.a_xb in
   let cost = ws.a_cost in
   Array.fill cost 0 ntot 0.;
@@ -860,34 +713,14 @@ let init_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub =
       lb.(art) <- 0.;
       ub.(art) <- infinity;
       xb.(i) <- Float.abs r;
-      diag.(i) <- g;
       cost.(art) <- 1.0 (* phase-1 cost *)
     end
   done;
-  let st =
-    { p; m; ntot; colp; coli; colv; lb; ub; stat; basis; dense; pricing; harris;
-      kern = Dense [||]; xb; cost;
-      wy = ws.a_wy; ww = ws.a_ww; wrho = ws.a_wrho; wres = ws.a_wres;
-      dred = ws.a_dred; dw = ws.a_dw; wflip = ws.a_wflip;
-      cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr;
-      d_valid = false; niter = 0; degen_count = 0; bland = false;
-      price_ptr = 0; age = 0 }
-  in
-  (* The starting basis matrix is the ±1 diagonal [diag]; both kernels
-     represent it directly (the sparse factorization of a signed
-     diagonal cannot fail, but fall back to the dense inverse if it
-     somehow does rather than crash). *)
-  let kern =
-    if dense then
-      Dense (Array.init m (fun i -> Array.init m (fun k -> if i = k then diag.(i) else 0.)))
-    else
-      match Lu.factorize ~m (fun i -> col_array st st.basis.(i)) with
-      | Some lu -> Sparse lu
-      | None ->
-          Dense (Array.init m (fun i -> Array.init m (fun k -> if i = k then diag.(i) else 0.)))
-  in
-  st.kern <- kern;
-  st
+  (* The starting basis matrix is a ±1 diagonal, whose factorization
+     cannot fail. *)
+  match factor_basis ~m colp coli colv basis with
+  | Some kern -> state_of_workspace ~pricing ~harris ws p ~kern ~age:0
+  | None -> invalid_arg "Simplex.init_state: singular starting basis"
 
 (* Rebuild a solver state from a prior optimal basis under new working
    bounds.  The column layout matches [init_state]; artificial columns
@@ -900,45 +733,15 @@ let init_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub =
    a snapshot whose eta file outgrew [refresh_age], or one without a
    factor, pays for a fresh factorization.  Returns [None] when such a
    refresh finds the inherited basis matrix singular. *)
-let warm_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub (b : Basis.t) =
+let warm_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub (b : Basis.t) =
+  prepare_workspace ws p ~lb ~ub;
   let m = Array.length p.rows in
   let n = p.ncols in
   let ntot = n + (2 * m) in
-  build_csc ws p m;
-  let colp = ws.colp and coli = ws.coli and colv = ws.colv in
-  ws.a_lb <- ensure_f ws.a_lb ntot;
-  ws.a_ub <- ensure_f ws.a_ub ntot;
-  ws.a_cost <- ensure_f ws.a_cost ntot;
-  ws.a_stat <- ensure_s ws.a_stat ntot;
-  ws.a_basis <- ensure_i ws.a_basis m;
-  ws.a_xb <- ensure_f ws.a_xb m;
-  ws.a_wy <- ensure_f ws.a_wy m;
-  ws.a_ww <- ensure_f ws.a_ww m;
-  ws.a_wrho <- ensure_f ws.a_wrho m;
-  ws.a_wres <- ensure_f ws.a_wres m;
-  ws.a_dred <- ensure_f ws.a_dred ntot;
-  ws.a_dw <- ensure_f ws.a_dw ntot;
-  ws.a_wflip <- ensure_f ws.a_wflip m;
-  ws.a_cnd <- ensure_i ws.a_cnd ntot;
-  ws.a_cnda <- ensure_f ws.a_cnda ntot;
-  ws.a_cndr <- ensure_f ws.a_cndr ntot;
   let lb = ws.a_lb and ub = ws.a_ub in
-  Array.blit wlb 0 lb 0 n;
-  Array.blit wub 0 ub 0 n;
   for i = 0 to m - 1 do
-    let s = n + i in
-    (match p.senses.(i) with
-    | Model.Le ->
-        lb.(s) <- 0.;
-        ub.(s) <- infinity
-    | Model.Ge ->
-        lb.(s) <- neg_infinity;
-        ub.(s) <- 0.
-    | Model.Eq ->
-        lb.(s) <- 0.;
-        ub.(s) <- 0.);
     let art = n + m + i in
-    FA.set colv colp.(art) 1.0;
+    FA.set ws.colv ws.colp.(art) 1.0;
     lb.(art) <- 0.;
     ub.(art) <- 0.
   done;
@@ -961,51 +764,19 @@ let warm_state ~dense ~pricing ~harris ~ws p ~lb:wlb ~ub:wub (b : Basis.t) =
   Array.fill cost 0 ntot 0.;
   Array.blit p.obj 0 cost 0 n;
   Array.blit b.Basis.basis 0 ws.a_basis 0 m;
-  let st =
-    { p; m; ntot; colp; coli; colv; lb; ub; stat;
-      basis = ws.a_basis;
-      dense; pricing; harris; kern = Dense [||];
-      xb = ws.a_xb; cost;
-      wy = ws.a_wy; ww = ws.a_ww; wrho = ws.a_wrho; wres = ws.a_wres;
-      dred = ws.a_dred; dw = ws.a_dw; wflip = ws.a_wflip;
-      cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr;
-      d_valid = false; niter = 0; degen_count = 0; bland = false;
-      price_ptr = 0; age = Basis.age b }
-  in
   let restored =
-    st.age <= refresh_age
-    &&
     match b.Basis.factor with
-    | Some f when Lu.factor_dim f = m ->
-        if dense then begin
-          (* Ablation mode: densify the stored factor column by column
-             (column r of B⁻¹ is the FTRAN image of e_r). *)
-          let lu = Lu.of_factor f in
-          let binv = Array.init m (fun _ -> Array.make m 0.) in
-          let x = Array.make m 0. in
-          for r = 0 to m - 1 do
-            Array.fill x 0 m 0.;
-            x.(r) <- 1.0;
-            Lu.ftran lu x;
-            for i = 0 to m - 1 do
-              binv.(i).(r) <- x.(i)
-            done
-          done;
-          st.kern <- Dense binv;
-          true
-        end
-        else begin
-          st.kern <- Sparse (Lu.of_factor f);
-          true
-        end
-    | Some _ | None -> false
+    | Some f when Basis.age b <= refresh_age && Lu.factor_dim f = m ->
+        Some (Lu.of_factor f, Basis.age b)
+    | Some _ | None ->
+        Option.map (fun lu -> (lu, 0)) (factor_basis ~m ws.colp ws.coli ws.colv ws.a_basis)
   in
-  if restored then begin
-    recompute_xb st;
-    Some st
-  end
-  else if refactorize st then Some st
-  else None
+  match restored with
+  | None -> None
+  | Some (kern, age) ->
+      let st = state_of_workspace ~pricing ~harris ws p ~kern ~age in
+      recompute_xb st;
+      Some st
 
 type dual_outcome = Dual_feasible | Dual_proven_infeasible | Dual_stalled
 
@@ -1163,19 +934,7 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
                         st.wflip.(i) <- st.wflip.(i) +. (FA.get st.colv e *. delta)
                       done)
                   fl;
-                (match st.kern with
-                | Dense binv ->
-                    let tmp = st.wres in
-                    Array.blit st.wflip 0 tmp 0 st.m;
-                    for i = 0 to st.m - 1 do
-                      let acc = ref 0. in
-                      let row = binv.(i) in
-                      for e = 0 to st.m - 1 do
-                        acc := !acc +. (row.(e) *. tmp.(e))
-                      done;
-                      st.wflip.(i) <- !acc
-                    done
-                | Sparse lu -> Lu.ftran lu st.wflip);
+                Lu.ftran st.kern st.wflip;
                 for i = 0 to st.m - 1 do
                   st.xb.(i) <- st.xb.(i) -. st.wflip.(i)
                 done);
@@ -1304,9 +1063,9 @@ let true_objective st x =
   done;
   !acc
 
-let cold_solve ~dense ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub =
+let cold_solve ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub =
   let m = Array.length p.rows in
-  let st = init_state ~dense ~pricing ~harris ~ws p ~lb ~ub in
+  let st = init_state ~pricing ~harris ~ws p ~lb ~ub in
   (* Phase 1: minimize total artificial value (cost set by init). *)
   let phase1_needed = ref false in
   for i = 0 to m - 1 do
@@ -1367,11 +1126,11 @@ let basic_within_bounds st tol =
    feasibility with dual pivots, then finish with (usually zero) primal
    iterations.  [None] means the caller must fall back to a cold solve:
    the basis was stale or singular, or dual pivoting stalled. *)
-let try_warm ~dense ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub b =
+let try_warm ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub b =
   let m = Array.length p.rows in
   if not (Basis.compatible b ~ncols:p.ncols ~nrows:m && Basis.well_formed b) then None
   else
-    match warm_state ~dense ~pricing ~harris ~ws p ~lb ~ub b with
+    match warm_state ~pricing ~harris ~ws p ~lb ~ub b with
     | None -> None
     | Some st -> (
         match dual_simplex st ~max_pivots:(100 + (2 * m)) ~feas_tol ~deadline with
@@ -1408,7 +1167,7 @@ let try_warm ~dense ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~
                 end))
 
 let solve ?basis ?max_iterations ?(feas_tol = 1e-7) ?(deadline = infinity)
-    ?(dense = false) ?(pricing = Devex) ?(harris = true) ?ws p ~lb ~ub =
+    ?(pricing = Devex) ?(harris = true) ?ws p ~lb ~ub =
   let m = Array.length p.rows in
   let ws = match ws with Some w -> w | None -> create_workspace () in
   (* Reject inverted working bounds up-front (branch & bound can create
@@ -1427,12 +1186,12 @@ let solve ?basis ?max_iterations ?(feas_tol = 1e-7) ?(deadline = infinity)
       | None -> 50_000 + (50 * (m + p.ncols))
     in
     match basis with
-    | None -> cold_solve ~dense ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub
+    | None -> cold_solve ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub
     | Some b -> (
-        match try_warm ~dense ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub b with
+        match try_warm ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub b with
         | Some r -> r
         | None ->
-            { (cold_solve ~dense ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub) with
+            { (cold_solve ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub) with
               warm = Warm_fallback })
   end
 
@@ -1474,12 +1233,12 @@ type tableau = {
    Always runs on a private workspace: the returned [t_row] closure
    keeps the solver state alive, so it must not share buffers with
    subsequent solves on a caller-owned workspace. *)
-let tableau ?(dense = false) p ~lb ~ub b =
+let tableau p ~lb ~ub b =
   if not (Basis.compatible b ~ncols:p.ncols ~nrows:(Array.length p.rows) && Basis.well_formed b)
   then None
   else
     match
-      warm_state ~dense ~pricing:Dantzig ~harris:false ~ws:(create_workspace ()) p ~lb ~ub b
+      warm_state ~pricing:Dantzig ~harris:false ~ws:(create_workspace ()) p ~lb ~ub b
     with
     | None -> None
     | Some st when not (st.age = 0 || refactorize st) ->
@@ -1528,11 +1287,7 @@ let reduced_costs p (b : Basis.t) =
       | None ->
           let ws = create_workspace () in
           build_csc ws p m;
-          let colp = ws.colp and coli = ws.coli and colv = ws.colv in
-          Lu.factorize ~m (fun i ->
-              let k = b.Basis.basis.(i) in
-              let s = colp.(k) and e = colp.(k + 1) in
-              Array.init (e - s) (fun t -> (coli.(s + t), FA.get colv (s + t))))
+          factor_basis ~m ws.colp ws.coli ws.colv b.Basis.basis
     in
     match lu with
     | None -> None

@@ -18,8 +18,7 @@
     defaults to the Harris two-pass test (tolerance-relaxed first pass,
     max-|pivot| second pass) with a bound-flipping (long-step) ratio
     test in the dual repair loop; [~harris:false] restores the classic
-    smallest-ratio tests.  The pre-PR dense explicit inverse survives
-    behind [?dense] as an ablation baseline.
+    smallest-ratio tests.
 
     Hot working storage (bounds, statuses, scratch vectors, the CSC
     image of the constraint matrix) lives in a {!workspace} arena that
@@ -87,7 +86,6 @@ val solve :
   ?max_iterations:int ->
   ?feas_tol:float ->
   ?deadline:float ->
-  ?dense:bool ->
   ?pricing:pricing ->
   ?harris:bool ->
   ?ws:workspace ->
@@ -107,9 +105,6 @@ val solve :
     the solve aborts with [Lp_iteration_limit] (checked every few
     iterations) — branch & bound uses it to make its wall-clock limit
     hold even when a single LP is huge.
-    [dense] (default [false]) selects the pre-PR dense explicit-inverse
-    kernel instead of the sparse LU one — an ablation baseline
-    ([--dense-basis]); results agree to solver tolerances either way.
     [pricing] (default [Devex]) selects the entering-column rule;
     [harris] (default [true]) enables the Harris two-pass primal ratio
     test and the bound-flipping dual ratio test.  All combinations agree
@@ -143,13 +138,11 @@ type tableau = {
           column sweep per call. *)
 }
 
-val tableau :
-  ?dense:bool -> problem -> lb:float array -> ub:float array -> Basis.t -> tableau option
+val tableau : problem -> lb:float array -> ub:float array -> Basis.t -> tableau option
 (** Tableau-row access for cut separation: restores the state an optimal
     basis describes (the same path a warm start takes) and exposes basic
     values plus on-demand rows of [B⁻¹A].  [None] if the basis is stale,
-    malformed, or singular.  [dense] selects the ablation kernel, as in
-    {!solve}. *)
+    malformed, or singular. *)
 
 val reduced_costs : problem -> Basis.t -> float array option
 (** Phase-2 reduced costs [c - c_B B⁻¹ A] of the structural columns

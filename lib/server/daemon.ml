@@ -160,14 +160,30 @@ let request_config t ~kstar:k ~budget ~(o : Protocol.overrides) ~interrupt
     | None | Some 0 -> t.d_workers (* daemon's resolved pool size *)
     | Some n -> n
   in
-  (* Sparse per-request knob application; the group setters validate
-     (Invalid_argument surfaces as a "bad request" Error_msg frame). *)
-  let app f v cfg = match v with None -> cfg | Some x -> f x cfg in
+  let k = base.kernel in
+  let kernel =
+    {
+      k with
+      k_cut_families =
+        (match o.Protocol.o_cuts with
+        | None -> k.k_cut_families
+        | Some s -> (
+            match Milp.Cuts.families_of_string s with Ok fs -> fs | Error e -> invalid_arg e));
+      k_max_applied_cuts = Option.value o.Protocol.o_cut_max_applied ~default:k.k_max_applied_cuts;
+      k_cut_max_age = Option.value o.Protocol.o_cut_max_age ~default:k.k_cut_max_age;
+      k_cut_pool_size = Option.value o.Protocol.o_cut_pool_size ~default:k.k_cut_pool_size;
+      k_cut_min_violation =
+        Option.value o.Protocol.o_cut_min_violation ~default:k.k_cut_min_violation;
+    }
+  in
+  (* The setters behind [override] validate: Invalid_argument surfaces
+     as a "bad request" Error_msg frame. *)
   override
     {
       no_override with
       o_time_limit = Some budget;
       o_rel_gap = o.Protocol.o_rel_gap;
+      o_kernel = Some kernel;
       o_seed = o.Protocol.o_seed;
       o_workers = Some nworkers;
       o_presolve =
@@ -183,16 +199,6 @@ let request_config t ~kstar:k ~budget ~(o : Protocol.overrides) ~interrupt
       o_on_incumbent = on_incumbent;
     }
     base
-  |> app
-       (fun s cfg ->
-         match Milp.Cuts.families_of_string s with
-         | Ok fs -> with_cut_families fs cfg
-         | Error e -> invalid_arg e)
-       o.Protocol.o_cuts
-  |> app with_max_applied_cuts o.Protocol.o_cut_max_applied
-  |> app with_cut_max_age o.Protocol.o_cut_max_age
-  |> app with_cut_pool_size o.Protocol.o_cut_pool_size
-  |> app with_cut_min_violation o.Protocol.o_cut_min_violation
 
 let result_frame ~(mip : Milp.Branch_bound.result) ~solve_time ~workers
     ~cache_hit ~interrupted =

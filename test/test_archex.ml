@@ -961,7 +961,8 @@ let test_regression_warm_start_unchanged () =
           Solver_config.(
             default
             |> with_approx ~kstar:4 ()
-            |> with_time_limit 60. |> with_rel_gap 1e-6 |> with_warm_start warm_start)
+            |> with_time_limit 60. |> with_rel_gap 1e-6
+            |> with_kernel { default.kernel with k_warm_start = warm_start })
         in
         match Solve.run cfg inst with
         | Ok out -> out
@@ -994,8 +995,13 @@ let test_regression_cuts_unchanged () =
           Solver_config.(
             default
             |> with_approx ~kstar:4 ()
-            |> with_time_limit 60. |> with_rel_gap 1e-6 |> with_cuts enabled
-            |> with_rc_fixing enabled)
+            |> with_time_limit 60. |> with_rel_gap 1e-6
+            |> with_kernel
+                 {
+                   default.kernel with
+                   k_cut_families = (if enabled then Milp.Cuts.all_families else []);
+                   k_rc_fixing = enabled;
+                 })
         in
         match Solve.run cfg inst with
         | Ok out -> out
@@ -1031,7 +1037,7 @@ let test_regression_cut_families_parity () =
             default
             |> with_approx ~kstar:4 ()
             |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_cut_families fams)
+            |> with_kernel { default.kernel with k_cut_families = fams })
         in
         match Solve.run cfg inst with
         | Ok out -> out
@@ -1134,33 +1140,38 @@ let test_regression_kstar_cutoff_monotone () =
         [ 1; 3; 5 ];
       Alcotest.(check bool) "some solution found" true (not (Float.is_nan !best))
 
-let test_regression_incremental_matches_rebuild () =
-  (* The PR-3 invariant behind the --no-incremental ablation: carrying
-     the model, path pool, cut pool and incumbent across the K* sweep
-     must land on the same final objective as re-encoding every step
-     from scratch. *)
+let test_regression_incremental_steps_match_fresh () =
+  (* The correctness oracle for incremental sessions: each step of a
+     K* sweep on one session, which carries the model, path pool, cut
+     pool and incumbent forward, must reach the status and objective of
+     a fresh session created at that step's K*. *)
   match Scenarios.scaled_data_collection ~total_nodes:16 ~end_devices:5 () with
   | Error e -> Alcotest.fail e
-  | Ok inst -> (
-      let sweep incremental =
-        let cfg =
-          Solver_config.(
-            default |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_incremental incremental)
-        in
-        Kstar.search ~schedule:[ 1; 3 ] ~time_threshold_s:60. cfg inst
+  | Ok inst ->
+      let schedule = [ 1; 3 ] in
+      let cfg =
+        Solver_config.(
+          default |> with_time_limit 60. |> with_rel_gap 1e-6
+          |> with_approx ~loc_kstar:(List.fold_left Int.max 1 schedule) ())
       in
-      let inc = sweep true and reb = sweep false in
-      Alcotest.(check int) "same step count"
-        (List.length reb.Kstar.steps)
-        (List.length inc.Kstar.steps);
-      match (inc.Kstar.best, reb.Kstar.best) with
-      | Some (ik, isol), Some (rk, rsol) ->
-          Alcotest.(check int) "same best kstar" rk ik;
-          Alcotest.(check (float 1e-6)) "same final objective" rsol.Solution.dollar_cost
-            isol.Solution.dollar_cost
-      | None, None -> ()
-      | _ -> Alcotest.fail "one mode found a solution, the other did not")
+      let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+      let session = Session.start cfg inst in
+      List.iter
+        (fun k ->
+          ok (Session.grow session ~kstar:k);
+          let step = Session.solve session in
+          let fresh =
+            Session.solve (ok (Session.create (Solver_config.with_approx ~kstar:k () cfg) inst))
+          in
+          let tag = Printf.sprintf "K*=%d" k in
+          Alcotest.(check string) (tag ^ ": status")
+            (Milp.Status.mip_status_to_string fresh.Outcome.status)
+            (Milp.Status.mip_status_to_string step.Outcome.status);
+          if fresh.Outcome.status = Milp.Status.Mip_optimal then
+            Alcotest.(check (float 1e-6)) (tag ^ ": objective")
+              fresh.Outcome.mip.Milp.Branch_bound.objective
+              step.Outcome.mip.Milp.Branch_bound.objective)
+        schedule
 
 (* ------------------------------------------------------------------ *)
 (* Parallel tree search                                                *)
@@ -1179,12 +1190,13 @@ let par_test_params =
     dc_height = 28.;
   }
 
-let par_solve ?(kstar = 4) ?(dense = false) ?(presolve = true) ~workers inst =
+let par_solve ?(kstar = 4) ?(presolve = true) ~workers inst =
   let k = kstar in
   let cfg =
     Solver_config.(
       default |> with_approx ~kstar:k () |> with_time_limit 60. |> with_rel_gap 1e-6
-      |> with_workers workers |> with_dense_basis dense |> with_presolve presolve)
+      |> with_workers workers
+      |> with_presolving { default.presolve with ps_enabled = presolve })
   in
   match Solve.run cfg inst with Ok out -> out | Error e -> Alcotest.fail e
 
@@ -1224,10 +1236,11 @@ let test_parallel_matches_sequential () =
       ("combined", Objective.combine Objective.dollar Objective.energy);
     ]
 
-let test_dense_sparse_kernel_parity () =
-  (* The sparse LU kernel and the --dense-basis ablation must land on
-     identical statuses and objectives (to 1e-6) on all three Table-1
-     objectives, sequentially and under the parallel tree search. *)
+let test_presolve_matches_ablation () =
+  (* Reduction-stack parity: solving in the reduced space must land on
+     the same status and objective (to 1e-6) as the --no-presolve
+     ablation on all three Table-1 objectives, sequentially and under
+     the parallel tree search. *)
   List.iter
     (fun (name, objective) ->
       match Scenarios.data_collection ~objective par_test_params with
@@ -1235,44 +1248,9 @@ let test_dense_sparse_kernel_parity () =
       | Ok inst ->
           List.iter
             (fun w ->
-              let sparse = par_solve ~workers:w inst in
-              let dense = par_solve ~dense:true ~workers:w inst in
-              Alcotest.(check string)
-                (Printf.sprintf "%s status parity at %d workers" name w)
-                (Milp.Status.mip_status_to_string sparse.Outcome.status)
-                (Milp.Status.mip_status_to_string dense.Outcome.status);
-              match (sparse.Outcome.solution, dense.Outcome.solution) with
-              | Some _, Some _ ->
-                  Alcotest.(check (float 1e-6))
-                    (Printf.sprintf "%s objective parity at %d workers" name w)
-                    sparse.Outcome.mip.Milp.Branch_bound.objective
-                    dense.Outcome.mip.Milp.Branch_bound.objective
-              | None, None -> ()
-              | _ -> Alcotest.fail (name ^ ": incumbent presence diverged"))
-            [ 1; 4 ])
-    [
-      ("dollar", Objective.dollar);
-      ("energy", Objective.energy);
-      ("combined", Objective.combine Objective.dollar Objective.energy);
-    ]
-
-let test_presolve_matches_ablation () =
-  (* Reduction-stack parity: solving in the reduced space must land on
-     the same status and objective (to 1e-6) as the --no-presolve
-     ablation on all three Table-1 objectives, sequentially and under
-     the parallel tree search, on both basis kernels. *)
-  List.iter
-    (fun (name, objective) ->
-      match Scenarios.data_collection ~objective par_test_params with
-      | Error e -> Alcotest.fail e
-      | Ok inst ->
-          List.iter
-            (fun (w, dense) ->
-              let tag = Printf.sprintf "%s at %d workers (%s)" name w
-                  (if dense then "dense" else "sparse")
-              in
-              let on = par_solve ~workers:w ~dense inst in
-              let off = par_solve ~workers:w ~dense ~presolve:false inst in
+              let tag = Printf.sprintf "%s at %d workers" name w in
+              let on = par_solve ~workers:w inst in
+              let off = par_solve ~workers:w ~presolve:false inst in
               Alcotest.(check string) (tag ^ ": status parity")
                 (Milp.Status.mip_status_to_string off.Outcome.status)
                 (Milp.Status.mip_status_to_string on.Outcome.status);
@@ -1284,7 +1262,7 @@ let test_presolve_matches_ablation () =
                     on.Outcome.mip.Milp.Branch_bound.objective
               | None, None -> ()
               | _ -> Alcotest.fail (tag ^ ": incumbent presence diverged"))
-            [ (1, false); (1, true); (4, false); (4, true) ])
+            [ 1; 4 ])
     [
       ("dollar", Objective.dollar);
       ("energy", Objective.energy);
@@ -1346,7 +1324,7 @@ let test_parallel_seed_still_matches () =
         let cfg =
           Solver_config.(
             default |> with_approx ~kstar:4 () |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_workers 4 |> with_seed seed)
+            |> with_parallelism { default.parallel with par_workers = 4; par_seed = seed })
         in
         match Solve.run cfg inst with Ok out -> out | Error e -> Alcotest.fail e
       in
@@ -1465,16 +1443,14 @@ let () =
           Alcotest.test_case "power cuts keep the optimum" `Quick
             test_power_cuts_valid_at_optimum;
           Alcotest.test_case "kstar cutoff monotone" `Quick test_regression_kstar_cutoff_monotone;
-          Alcotest.test_case "incremental matches rebuild" `Quick
-            test_regression_incremental_matches_rebuild;
+          Alcotest.test_case "incremental steps match fresh" `Quick
+            test_regression_incremental_steps_match_fresh;
           Alcotest.test_case "presolve node counts on energy" `Quick
             test_presolve_node_count_regression;
         ] );
       ( "parallel",
         [
           Alcotest.test_case "parity across workers" `Slow test_parallel_matches_sequential;
-          Alcotest.test_case "dense vs sparse kernel parity" `Slow
-            test_dense_sparse_kernel_parity;
           Alcotest.test_case "presolve on/off parity" `Slow test_presolve_matches_ablation;
           Alcotest.test_case "workers=1 bit-deterministic" `Quick
             test_sequential_bit_deterministic;

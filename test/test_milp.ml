@@ -1003,7 +1003,7 @@ let test_reduce_reapply_matches_fresh () =
 (* Separate every in-library cut family at the root LP of a random
    binary program and check that no integer-feasible point (enumerated
    by brute force) violates any of them — the defining property of a
-   valid cut.  Clique and odd-cycle cuts come from the conflict table
+   valid cut.  Clique cuts come from the conflict table
    mined off the same rows, so this also exercises the miner. *)
 let prop_cuts_never_cut_integer_points =
   QCheck2.Test.make ~name:"cuts: no separated cut excludes an integer-feasible point"
@@ -1022,7 +1022,6 @@ let prop_cuts_never_cut_integer_points =
             Cuts.gomory p ~integer ~lb ~ub basis ~max_cuts:16
             @ Cuts.covers p ~nrows ~integer ~lb ~ub ~x:r.Simplex.primal ~max_cuts:16
             @ Cuts.cliques tbl ~x:r.Simplex.primal ~max_cuts:8
-            @ Cuts.odd_cycles tbl ~x:r.Simplex.primal ~max_cuts:8
           in
           let ok = ref true in
           for mask = 0 to (1 lsl nvars) - 1 do
@@ -1490,97 +1489,6 @@ let test_vec_float_clear_and_bounds () =
   Alcotest.(check (float 0.)) "append after clear" 7. (Vec.Float.get v 0)
 
 (* ------------------------------------------------------------------ *)
-(* Node_pool                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_node_pool_sequential_order () =
-  (* A single worker sees its own heap in key order. *)
-  let np = Node_pool.create ~nworkers:1 in
-  List.iter (fun k -> Node_pool.push np ~worker:0 (float_of_int k) k) [ 5; 1; 4; 2; 3 ];
-  let popped = ref [] in
-  let rec drain () =
-    match Node_pool.pop np ~worker:0 with
-    | None -> ()
-    | Some (_, v) ->
-        popped := v :: !popped;
-        Node_pool.task_done np ~worker:0;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "key order" [ 1; 2; 3; 4; 5 ] (List.rev !popped);
-  Alcotest.(check bool) "drained" true (Node_pool.drained np)
-
-let test_node_pool_best_bound_covers_inflight () =
-  let np = Node_pool.create ~nworkers:1 in
-  Node_pool.push np ~worker:0 7. "a";
-  Node_pool.push np ~worker:0 9. "b";
-  (match Node_pool.pop np ~worker:0 with
-  | Some (7., "a") ->
-      (* "a" is in flight: the global bound must still report it. *)
-      Alcotest.(check (float 0.)) "bound includes in-flight" 7. (Node_pool.best_bound np)
-  | _ -> Alcotest.fail "expected key-7 node first");
-  Node_pool.task_done np ~worker:0;
-  Alcotest.(check (float 0.)) "bound falls to queued" 9. (Node_pool.best_bound np)
-
-let test_node_pool_concurrent_stress () =
-  (* 4 domains hammer one pool: every worker seeds nodes, then each pop
-     re-pushes two children until a per-item budget runs out.  No node
-     may be lost or duplicated: the atomic sum of processed nodes must
-     equal the number pushed, and the pool must end drained with every
-     domain seeing [pop = None] (the all-idle broadcast reaches all). *)
-  let nworkers = 4 in
-  let np = Node_pool.create ~nworkers in
-  let seeds = 32 in
-  let processed = Atomic.make 0 in
-  let pushed = Atomic.make 0 in
-  for w = 0 to nworkers - 1 do
-    for i = 0 to (seeds / nworkers) - 1 do
-      Atomic.incr pushed;
-      (* depth encoded in the payload: children spawn until depth 3 *)
-      Node_pool.push np ~worker:w (float_of_int i) (0, i)
-    done
-  done;
-  let worker w =
-    let rec loop () =
-      match Node_pool.pop np ~worker:w with
-      | None -> ()
-      | Some (k, (depth, tag)) ->
-          Atomic.incr processed;
-          if depth < 3 then begin
-            Atomic.incr pushed;
-            Node_pool.push np ~worker:w (k +. 1.) (depth + 1, (2 * tag) + 1);
-            Atomic.incr pushed;
-            Node_pool.push np ~worker:w (k +. 2.) (depth + 1, (2 * tag) + 2)
-          end;
-          Node_pool.task_done np ~worker:w;
-          loop ()
-    in
-    loop ()
-  in
-  let domains = Array.init nworkers (fun w -> Domain.spawn (fun () -> worker w)) in
-  Array.iter Domain.join domains;
-  Alcotest.(check int) "every push processed exactly once" (Atomic.get pushed)
-    (Atomic.get processed);
-  Alcotest.(check bool) "drained" true (Node_pool.drained np);
-  Alcotest.(check int) "nothing left queued" 0 (Node_pool.length np);
-  Alcotest.(check bool) "best bound empty" true (Node_pool.best_bound np = infinity)
-
-let test_node_pool_stop_wakes_sleepers () =
-  (* A domain blocked on an empty-but-undrained pool must be released by
-     [stop] rather than sleeping forever. *)
-  let np = Node_pool.create ~nworkers:2 in
-  Node_pool.push np ~worker:0 1. ();
-  (match Node_pool.pop np ~worker:0 with
-  | Some _ -> () (* hold the node in flight so worker 1 has to sleep *)
-  | None -> Alcotest.fail "expected a node");
-  let sleeper = Domain.spawn (fun () -> Node_pool.pop np ~worker:1) in
-  Unix.sleepf 0.05;
-  Node_pool.stop np;
-  let res = Domain.join sleeper in
-  Alcotest.(check bool) "sleeper released with None" true (res = None);
-  Alcotest.(check bool) "stopped" true (Node_pool.stopped np)
-
-(* ------------------------------------------------------------------ *)
 (* Sparse LU kernel                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1802,32 +1710,6 @@ let test_append_rows_bit_identical () =
       (Int64.bits_of_float t0.Simplex.t_xb.(i))
       (Int64.bits_of_float t1.Simplex.t_xb.(i))
   done
-
-let prop_dense_sparse_lp_parity =
-  QCheck2.Test.make ~name:"simplex: dense ablation kernel matches sparse LU" ~count:200
-    random_lp_spec (fun spec ->
-      let m, _ = build_lp spec in
-      let p = Simplex.of_model m in
-      let lb = Array.make p.Simplex.ncols 0. and ub = Array.make p.Simplex.ncols 10. in
-      let s = Simplex.solve p ~lb ~ub in
-      let d = Simplex.solve ~dense:true p ~lb ~ub in
-      s.Simplex.status = d.Simplex.status
-      && (s.Simplex.status <> Status.Lp_optimal
-         || feq ~eps:1e-6 s.Simplex.objective d.Simplex.objective))
-
-let prop_dense_sparse_bb_parity =
-  QCheck2.Test.make ~name:"branch&bound: dense-basis ablation matches sparse kernel"
-    ~count:100 random_bip (fun spec ->
-      let m = build_bip spec in
-      let s = Branch_bound.solve m in
-      let d =
-        Branch_bound.solve
-          ~options:{ Branch_bound.default_options with Branch_bound.dense_basis = true }
-          m
-      in
-      s.Branch_bound.status = d.Branch_bound.status
-      && (s.Branch_bound.status <> Status.Mip_optimal
-         || feq ~eps:1e-5 s.Branch_bound.objective d.Branch_bound.objective))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel round 2: pricing and ratio-test ablations                    *)
@@ -2078,8 +1960,6 @@ let () =
             test_append_rows_bit_identical;
           qt prop_lu_matches_dense_reference;
           qt prop_lu_eta_update_matches_dense;
-          qt prop_dense_sparse_lp_parity;
-          qt prop_dense_sparse_bb_parity;
         ] );
       ( "kernel2",
         [
@@ -2090,13 +1970,5 @@ let () =
           Alcotest.test_case "beale degeneracy terminates via bland" `Quick
             test_degenerate_stall_bland;
           Alcotest.test_case "bound-flipping dual ratio test" `Quick test_bound_flip_boxed_lp;
-        ] );
-      ( "node_pool",
-        [
-          Alcotest.test_case "sequential order" `Quick test_node_pool_sequential_order;
-          Alcotest.test_case "best bound covers in-flight" `Quick
-            test_node_pool_best_bound_covers_inflight;
-          Alcotest.test_case "concurrent stress" `Quick test_node_pool_concurrent_stress;
-          Alcotest.test_case "stop wakes sleepers" `Quick test_node_pool_stop_wakes_sleepers;
         ] );
     ]

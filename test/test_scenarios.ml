@@ -357,11 +357,7 @@ let test_reconfigure_presolve_toggle () =
   get (Session.grow s ~kstar:4);
   get (Session.grow control ~kstar:4);
   let o3 = Session.solve s and c3 = Session.solve control in
-  Alcotest.(check (float 1e-6)) "presolve-back-on parity" (obj c3) (obj o3);
-  try
-    Session.reconfigure s Solver_config.(cfg |> with_incremental false);
-    Alcotest.fail "incremental flip accepted"
-  with Invalid_argument _ -> ()
+  Alcotest.(check (float 1e-6)) "presolve-back-on parity" (obj c3) (obj o3)
 
 (* ---- solver-config groups and overrides ----------------------------- *)
 
@@ -370,28 +366,32 @@ let test_config_groups_flat_equiv () =
   (* [compare], not [=]: options.cutoff defaults to nan, and
      [nan = nan] is false under structural equality. *)
   let same a b = compare a b = 0 in
-  Alcotest.(check bool) "warm-start flat = kernel group" true
-    (same
-       (default |> with_warm_start false)
-       (default |> with_kernel { default.kernel with k_warm_start = false }));
-  Alcotest.(check bool) "dense-basis flat = kernel group" true
-    (same
-       (default |> with_dense_basis true)
-       (default |> with_kernel { default.kernel with k_dense_basis = true }));
-  Alcotest.(check bool) "presolve flat = presolve group" true
-    (same
-       (default |> with_presolve false)
-       (default |> with_presolving { default.presolve with ps_enabled = false }));
   Alcotest.(check bool) "workers flat = parallel group" true
     (same
        (default |> with_workers 3)
        (default |> with_parallelism { default.parallel with par_workers = 3 }));
-  let o = bb_options (default |> with_kernel { default.kernel with k_dense_basis = true }) in
+  let o = bb_options (default |> with_kernel { default.kernel with k_warm_start = false }) in
   Alcotest.(check bool) "kernel group reaches bb_options" true
-    o.Milp.Branch_bound.dense_basis;
-  let o = bb_options (default |> with_presolve false) in
+    (not o.Milp.Branch_bound.warm_start);
+  let o =
+    bb_options (default |> with_presolving { default.presolve with ps_enabled = false })
+  in
   Alcotest.(check bool) "presolve group reaches bb_options" true
-    (not o.Milp.Branch_bound.presolve)
+    (not o.Milp.Branch_bound.presolve);
+  (* The kernel group setter range-checks the cut-pool knobs, which is
+     what turns a bad per-request value into a daemon error frame. *)
+  let k = default.kernel in
+  List.iter
+    (fun (name, bad) ->
+      match with_kernel bad default with
+      | _ -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("max applied 0", { k with k_max_applied_cuts = 0 });
+      ("max age 0", { k with k_cut_max_age = 0 });
+      ("pool size 0", { k with k_cut_pool_size = 0 });
+      ("min violation 0", { k with k_cut_min_violation = 0. });
+    ]
 
 let test_config_override_merge () =
   let open Solver_config in

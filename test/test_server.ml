@@ -35,7 +35,7 @@ let gen_overrides =
     let* o_deadline_s = option gen_wire_float in
     let* o_presolve = option bool in
     let* o_heuristic = option (oneofl [ "tabu"; "off"; "" ]) in
-    let* o_cuts = option (oneofl [ "all"; "none"; "gmi,cover"; "power,clique,negcycle" ]) in
+    let* o_cuts = option (oneofl [ "all"; "none"; "gmi,cover"; "power,clique" ]) in
     let* o_cut_max_applied = option (int_range 1 256) in
     let* o_cut_max_age = option (int_range 1 50) in
     let* o_cut_pool_size = option (int_range 1 2000) in
@@ -434,6 +434,38 @@ let test_sched_stop_discards_queued () =
       Alcotest.(check bool) "stopped" true (Scheduler.stopped h);
       Alcotest.(check int) "queued nodes were never run" 0 (Atomic.get ran))
 
+let test_sched_steals_infinite_key () =
+  (* A sequential chain's last task is queued with key [infinity].  It
+     must still be visible to an idle worker and stealable, or the
+     solve stalls until the busy worker frees up.  Block one slot in a
+     gate task, queue an [infinity] task on that slot's heap, and
+     require the other worker to run it while the gate is still shut. *)
+  with_pool 2 (fun s ->
+      let h = Scheduler.submit s in
+      let m = Mutex.create () and c = Condition.create () in
+      let opened = ref false in
+      let gate_slot = Atomic.make (-1) and ran_on = Atomic.make (-1) in
+      Scheduler.push h ~worker:0 0. (fun slot ->
+          Atomic.set gate_slot slot;
+          Mutex.lock m;
+          while not !opened do
+            Condition.wait c m
+          done;
+          Mutex.unlock m);
+      if not (eventually (fun () -> Atomic.get gate_slot >= 0)) then
+        Alcotest.fail "gate task never claimed";
+      let g = Atomic.get gate_slot in
+      Scheduler.push h ~worker:g infinity (fun slot -> Atomic.set ran_on slot);
+      let ran_while_gated = eventually ~timeout:2. (fun () -> Atomic.get ran_on >= 0) in
+      Mutex.lock m;
+      opened := true;
+      Condition.signal c;
+      Mutex.unlock m;
+      Scheduler.await h;
+      Alcotest.(check bool) "infinite-key task ran while the gate held its slot" true
+        ran_while_gated;
+      Alcotest.(check int) "run by the other worker" (1 - g) (Atomic.get ran_on))
+
 (* ------------------------------------------------------------------ *)
 (* Branch & bound through a shared scheduler                           *)
 (* ------------------------------------------------------------------ *)
@@ -453,6 +485,9 @@ let base_cfg ~workers =
     default
     |> with_approx ~kstar:4 ()
     |> with_time_limit 60. |> with_rel_gap 1e-6 |> with_workers workers)
+
+let on_scheduler s cfg =
+  Archex.Solver_config.(override { no_override with o_scheduler = Some s } cfg)
 
 let solve_cfg cfg inst =
   match Archex.Solve.run cfg inst with
@@ -477,7 +512,7 @@ let test_bb_sequential_via_scheduler_replay () =
         Fun.protect
           ~finally:(fun () -> Scheduler.shutdown s)
           (fun () ->
-            let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:1) in
+            let cfg = on_scheduler s (base_cfg ~workers:1) in
             (solve_cfg cfg inst).Archex.Outcome.mip)
       in
       Alcotest.(check int) "pinned energy node count" 575 via.Branch_bound.nodes;
@@ -503,7 +538,7 @@ let test_bb_parallel_via_shared_scheduler () =
         Fun.protect
           ~finally:(fun () -> Scheduler.shutdown s)
           (fun () ->
-            let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:4) in
+            let cfg = on_scheduler s (base_cfg ~workers:4) in
             solve_cfg cfg inst)
       in
       Alcotest.(check string) "status parity"
@@ -533,7 +568,7 @@ let test_bb_concurrent_solves_share_pool () =
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown s)
     (fun () ->
-      let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:2) in
+      let cfg = on_scheduler s (base_cfg ~workers:2) in
       let t1 = Thread.create (fun () -> r_dollar := Some (solve_cfg cfg dollar)) () in
       let t2 = Thread.create (fun () -> r_mixed := Some (solve_cfg cfg mixed)) () in
       Thread.join t1;
@@ -643,8 +678,9 @@ let test_daemon_end_to_end () =
               | Ok _ -> Alcotest.fail "unknown workload: expected Error_msg"
               | Error e -> Alcotest.fail ("unknown workload: " ^ e));
               (* Per-request cut overrides: a restricted family list
-                 still proves the same optimum; a bogus list is a bad
-                 request, not a crash. *)
+                 still proves the same optimum; a bogus list, a retired
+                 family or an out-of-range pool knob is a bad request,
+                 not a crash. *)
               let r3 =
                 expect_result "cuts override"
                   (Server.Client.solve conn
@@ -654,15 +690,21 @@ let test_daemon_end_to_end () =
               in
               Alcotest.(check (float 1e-6)) "restricted-cuts objective unchanged"
                 r.Server.Protocol.r_objective r3.Server.Protocol.r_objective;
-              (match
-                 Server.Client.solve conn
-                   (Server.Protocol.Workload
-                      { name = "dc-small-dollar"; kstar = 4 })
-                   { small_overrides with Server.Protocol.o_cuts = Some "bogus" }
-               with
-              | Ok (Server.Protocol.Error_msg _) -> ()
-              | Ok _ -> Alcotest.fail "bad cut list: expected Error_msg"
-              | Error e -> Alcotest.fail ("bad cut list: " ^ e));
+              List.iter
+                (fun (what, o) ->
+                  match
+                    Server.Client.solve conn
+                      (Server.Protocol.Workload { name = "dc-small-dollar"; kstar = 4 })
+                      o
+                  with
+                  | Ok (Server.Protocol.Error_msg _) -> ()
+                  | Ok _ -> Alcotest.fail (what ^ ": expected Error_msg")
+                  | Error e -> Alcotest.fail (what ^ ": " ^ e))
+                [
+                  ("bad cut list", { small_overrides with o_cuts = Some "bogus" });
+                  ("retired family", { small_overrides with o_cuts = Some "negcycle" });
+                  ("zero pool age", { small_overrides with o_cut_max_age = Some 0 });
+                ];
               (* A raw LP model takes the cacheless MILP path. *)
               let m = Model.create () in
               let x = Model.add_var m ~lb:0. ~ub:5. ~kind:Model.Integer "x" in
@@ -824,6 +866,8 @@ let () =
             test_sched_weighted_fairness;
           Alcotest.test_case "task exception re-raised at await" `Quick
             test_sched_task_exception_propagates;
+          Alcotest.test_case "idle worker steals an infinite key" `Quick
+            test_sched_steals_infinite_key;
           Alcotest.test_case "stop discards queued nodes" `Quick
             test_sched_stop_discards_queued;
         ] );
