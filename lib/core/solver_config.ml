@@ -162,8 +162,6 @@ let with_cutoff cutoff c = { c with options = { c.options with BB.cutoff } }
 
 let with_log log c = { c with options = { c.options with BB.log } }
 
-let with_mem_stats mem_stats c = { c with options = { c.options with BB.mem_stats } }
-
 let with_workers nworkers c =
   if nworkers < 0 then
     invalid_arg "Solver_config.with_workers: need a worker count >= 0 (0 = auto-detect)";

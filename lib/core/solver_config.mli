@@ -96,7 +96,7 @@ type heuristic = {
 type t = {
   strategy : strategy;
   options : Milp.Branch_bound.options;
-      (** Scalar limits (time/node/gap/log/mem_stats...).  Fields that
+      (** Scalar limits (time/node/gap/log...).  Fields that
           belong to a group below ([warm_start], [presolve], [nworkers],
           ...) are shadowed by the groups — {!bb_options} resolves the
           authoritative merge. *)
@@ -172,8 +172,6 @@ val with_node_limit : int -> t -> t
 val with_rel_gap : float -> t -> t
 
 val with_cutoff : float -> t -> t
-
-val with_mem_stats : bool -> t -> t
 
 val with_log : bool -> t -> t
 

@@ -19,7 +19,6 @@ type options = {
   rc_fixing : bool;
   pricing : Simplex.pricing;
   harris : bool;
-  mem_stats : bool;
   log : bool;
   nworkers : int;
   seed : int;
@@ -47,7 +46,6 @@ let default_options =
     rc_fixing = true;
     pricing = Simplex.Devex;
     harris = true;
-    mem_stats = false;
     log = false;
     nworkers = 1;
     seed = 0;
@@ -77,7 +75,6 @@ type result = {
   presolve_cols_removed : int;
   presolve_reapplied : bool;
   presolve_stats : Presolve.pass_stats list;
-  live_words : int;
   elapsed : float;
 }
 
@@ -110,14 +107,41 @@ type node = {
   nbasis : Basis.t option;
 }
 
-(* Warm/cold/fallback tallies across every LP the solver runs. *)
-type lp_counters = { mutable warm : int; mutable cold : int; mutable fallback : int }
+(* Per-drive tallies: the sequential drive owns one and each worker
+   slot owns one, so nothing in it is shared; the worker records are
+   summed into the sequential one after the join. *)
+type tallies = {
+  mutable t_nodes : int;
+  mutable t_iters : int;
+  mutable t_warm : int;
+  mutable t_cold : int;
+  mutable t_fallback : int;
+  mutable t_pruned : int;
+  mutable t_rc : int;
+}
 
-let tally counters (r : Simplex.result) =
-  match r.Simplex.warm with
-  | Simplex.Warm -> counters.warm <- counters.warm + 1
-  | Simplex.Cold -> counters.cold <- counters.cold + 1
-  | Simplex.Warm_fallback -> counters.fallback <- counters.fallback + 1
+let new_tallies () =
+  { t_nodes = 0; t_iters = 0; t_warm = 0; t_cold = 0; t_fallback = 0; t_pruned = 0; t_rc = 0 }
+
+let absorb t u =
+  t.t_nodes <- t.t_nodes + u.t_nodes;
+  t.t_iters <- t.t_iters + u.t_iters;
+  t.t_warm <- t.t_warm + u.t_warm;
+  t.t_cold <- t.t_cold + u.t_cold;
+  t.t_fallback <- t.t_fallback + u.t_fallback;
+  t.t_pruned <- t.t_pruned + u.t_pruned;
+  t.t_rc <- t.t_rc + u.t_rc
+
+(* Every LP of a solve runs through here, booking its iterations and
+   its warm/cold outcome on the caller's tallies. *)
+let lp_solve (o : options) t ~ws ~deadline ?basis p ~lb ~ub =
+  let r = Simplex.solve ?basis ~deadline ~pricing:o.pricing ~harris:o.harris ~ws p ~lb ~ub in
+  t.t_iters <- t.t_iters + r.Simplex.iterations;
+  (match r.Simplex.warm with
+  | Simplex.Warm -> t.t_warm <- t.t_warm + 1
+  | Simplex.Cold -> t.t_cold <- t.t_cold + 1
+  | Simplex.Warm_fallback -> t.t_fallback <- t.t_fallback + 1);
+  r
 
 let src = Logs.Src.create "milp.bb" ~doc:"branch and bound"
 
@@ -157,12 +181,6 @@ let try_rounding p integer lb ub x tol =
   done;
   if rows_feasible p y tol then Some y else None
 
-(* LP-guided diving heuristic: repeatedly fix the most fractional
-   integer variable to its nearest integer and re-solve; on infeasibility
-   try the opposite side once.  Returns an integral solution with its
-   objective when the dive bottoms out.  This is what finds the first
-   incumbent on covering-style models whose leaves are never integral
-   under plain best-first search. *)
 (* Cheap bound propagation at a node: fixes implied binaries (edge/use
    variables implied by a selection, sizing rows, …) before paying for
    the LP.  Returns None when propagation proves the node infeasible. *)
@@ -171,8 +189,29 @@ let propagate p integer lb ub =
   | Presolve.Proven_infeasible _ -> None
   | Presolve.Feasible { lb; ub; _ } -> Some (lb, ub)
 
-let dive p integer int_tol lb0 ub0 (root : Simplex.result) lp_iters counters ~warm_start
-    ~pricing ~harris ~ws max_lps ~deadline =
+(* Most fractional integer variable of an LP point; -1 when the point is
+   integral to [int_tol]. *)
+let most_fractional ~int_tol integer x =
+  let best = ref (-1) and best_frac = ref int_tol in
+  for j = 0 to Array.length integer - 1 do
+    if integer.(j) then begin
+      let f = x.(j) -. Float.floor x.(j) in
+      let dist = Float.min f (1. -. f) in
+      if dist > !best_frac then begin
+        best := j;
+        best_frac := dist
+      end
+    end
+  done;
+  !best
+
+(* LP-guided diving heuristic: repeatedly fix the most fractional
+   integer variable to its nearest integer and re-solve; on infeasibility
+   try the opposite side once.  Returns an integral solution with its
+   objective when the dive bottoms out.  This is what finds the first
+   incumbent on covering-style models whose leaves are never integral
+   under plain best-first search. *)
+let dive (o : options) t ~ws ~deadline p integer lb0 ub0 (root : Simplex.result) max_lps =
   let n = p.Simplex.ncols in
   let lb = Array.copy lb0 and ub = Array.copy ub0 in
   let x = ref root.Simplex.primal in
@@ -181,22 +220,8 @@ let dive p integer int_tol lb0 ub0 (root : Simplex.result) lp_iters counters ~wa
      so its basis warm starts the next LP of the dive. *)
   let basis = ref root.Simplex.basis in
   let lps = ref 0 in
-  let most_fractional () =
-    let best = ref (-1) and best_frac = ref int_tol in
-    for j = 0 to n - 1 do
-      if integer.(j) then begin
-        let f = !x.(j) -. Float.floor !x.(j) in
-        let dist = Float.min f (1. -. f) in
-        if dist > !best_frac then begin
-          best := j;
-          best_frac := dist
-        end
-      end
-    done;
-    !best
-  in
   let rec go () =
-    let j = most_fractional () in
+    let j = most_fractional ~int_tol:o.int_tol integer !x in
     if j < 0 then Some (Array.copy !x, !obj)
     else if !lps >= max_lps || Clock.now () > deadline then None
     else begin
@@ -218,12 +243,10 @@ let dive p integer int_tol lb0 ub0 (root : Simplex.result) lp_iters counters ~wa
             Array.blit pub 0 ub 0 n;
             incr lps;
             let r =
-              Simplex.solve
-                ?basis:(if warm_start then !basis else None)
-                ~deadline ~pricing ~harris ~ws p ~lb ~ub
+              lp_solve o t ~ws ~deadline
+                ?basis:(if o.warm_start then !basis else None)
+                p ~lb ~ub
             in
-            lp_iters := !lp_iters + r.Simplex.iterations;
-            tally counters r;
             if r.Simplex.status = Status.Lp_optimal then begin
               x := r.Simplex.primal;
               obj := r.Simplex.objective;
@@ -244,20 +267,10 @@ let dive p integer int_tol lb0 ub0 (root : Simplex.result) lp_iters counters ~wa
   in
   go ()
 
-(* Parallel incumbent: an immutable pair swapped by compare-and-set.
-   [i_sol = None] with a finite [i_obj] is a caller cutoff acting as a
-   virtual incumbent, mirroring the sequential ref pair. *)
-type par_incumbent = { i_obj : float; i_sol : float array option }
-
-(* Per-domain tallies, merged into the result after the join.  Each
-   worker owns exactly one of these; nothing in it is shared. *)
-type worker_stats = {
-  mutable ws_nodes : int;
-  ws_lp : int ref;
-  ws_counters : lp_counters;
-  mutable ws_pruned : int;
-  mutable ws_rc : int;
-}
+(* The incumbent: an immutable pair swapped by compare-and-set, so
+   worker domains may improve it too.  [i_sol = None] with a finite
+   [i_obj] is a caller cutoff acting as a virtual incumbent. *)
+type incumbent = { i_obj : float; i_sol : float array option }
 
 let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
     ?warm_solution ?presolve_state ?touched_rows ?ws ?interrupt ?on_incumbent
@@ -277,27 +290,18 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
   let integer_full = Array.init nfull (Model.is_integer model) in
   let root_lb = Array.init nfull (Model.var_lb model) in
   let root_ub = Array.init nfull (Model.var_ub model) in
-  let counters = { warm = 0; cold = 0; fallback = 0 } in
-  let pricing = options.pricing and harris = options.harris in
   (* One workspace for the whole sequential drive (root, cut loop,
      dives, node re-solves); worker domains get their own below.  An
      incremental session passes its own so the CSC image and solver
      buffers persist across the sweep. *)
   let sws = match ws with Some w -> w | None -> Simplex.create_workspace () in
-  (* Live heap words at the moment the incumbent last improved — the
-     point where the node pool, basis snapshots and cut pool are all at
-     working size.  [Gc.stat] walks the heap, so it is opt-in. *)
-  let live_words = ref 0 in
-  let measure_live () = if options.mem_stats then live_words := (Gc.stat ()).Gc.live_words in
   let pool =
     Cuts.create_pool ~max_age:options.cut_max_age ~max_size:options.cut_pool_size ()
   in
   (* Which separation families may run: the master [cuts] switch gates
      them all, the family list is the per-family ablation axis. *)
   let fam f = options.cuts && List.mem f options.cut_families in
-  let rc_fixed = ref 0 in
   let cuts_seeded = ref 0 in
-  let bound_pruned = ref 0 in
   (* Cuts that became problem rows this solve; together with the pool's
      survivors they form the carry-out for an incremental session. *)
   let applied_cuts = ref [] in
@@ -308,7 +312,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
   let ps_reapplied = ref false in
   let ps_stats = ref [] in
   let post_ref = ref (Postsolve.identity ~ncols:nfull ~nrows:mfull) in
-  let finish status ~objective ~bound ~solution ~nodes ~lp_iterations =
+  let finish status ~objective ~bound ~solution t =
     let separated, applied, evicted = Cuts.stats pool in
     let post = !post_ref in
     {
@@ -316,19 +320,19 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       objective = sign *. objective;
       bound = sign *. bound;
       solution;
-      nodes;
-      lp_iterations;
-      lp_warm = counters.warm;
-      lp_cold = counters.cold;
-      lp_fallback = counters.fallback;
+      nodes = t.t_nodes;
+      lp_iterations = t.t_iters;
+      lp_warm = t.t_warm;
+      lp_cold = t.t_cold;
+      lp_fallback = t.t_fallback;
       cuts_separated = separated;
       cuts_applied = applied;
       cuts_evicted = evicted;
       cuts_seeded = !cuts_seeded;
       carry_cuts =
         List.map (Cuts.lift post) (List.rev_append !applied_cuts (Cuts.members pool));
-      bound_pruned = !bound_pruned;
-      rc_fixed = !rc_fixed;
+      bound_pruned = t.t_pruned;
+      rc_fixed = t.t_rc;
       root_lp_bound = sign *. !root_lp_bound;
       root_cut_bound = sign *. !root_cut_bound;
       presolve_time_s = !presolve_time;
@@ -336,7 +340,6 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       presolve_cols_removed = nfull - Array.length !post_ref.Postsolve.col_of_red;
       presolve_reapplied = !ps_reapplied;
       presolve_stats = !ps_stats;
-      live_words = !live_words;
       elapsed = Clock.now () -. t0;
     }
   in
@@ -410,7 +413,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
   match reduced with
   | Presolve.Reduce_infeasible _ ->
       finish Status.Mip_infeasible ~objective:infinity ~bound:infinity ~solution:None
-        ~nodes:0 ~lp_iterations:0
+        (new_tallies ())
   | Presolve.Reduced red ->
       let p0 = red.Presolve.red_problem in
       let n = p0.Simplex.ncols in
@@ -456,14 +459,18 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                (Array.sub !cut_index (b.Basis.nrows - m0) (cur - b.Basis.nrows)))
       in
       let node_basis b = if options.warm_start then Option.bind b upgrade_basis else None in
-      let incumbent = ref None in
+      (* The sequential drive's tallies; each worker slot gets its own
+         after the handoff, summed into these after the join. *)
+      let st = new_tallies () in
       (* A caller-supplied cutoff acts as a virtual incumbent: it prunes
          but carries no solution vector. *)
-      let incumbent_obj =
-        ref (if Float.is_nan options.cutoff then infinity else sign *. options.cutoff)
+      let inc =
+        Atomic.make
+          {
+            i_obj = (if Float.is_nan options.cutoff then infinity else sign *. options.cutoff);
+            i_sol = None;
+          }
       in
-      let nodes = ref 0 in
-      let lp_iters = ref 0 in
       let queue : node Pqueue.t = Pqueue.create () in
       (* With every row eliminated the "tree" is a box LP solved in
          closed form below; no root node then. *)
@@ -472,21 +479,22 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       let feas_tol = 1e-6 in
       (* Streaming hook: fires on every strict incumbent improvement
          with (objective, best proven bound) in the model's own
-         direction.  In a parallel drive it runs on a worker domain, so
-         callers must pass a thread-safe callback. *)
-      let notify_incumbent obj bound_min =
+         direction; [bound ()] is read only then.  In a parallel drive
+         it runs on a worker domain, so callers must pass a thread-safe
+         callback. *)
+      let notify_incumbent obj bound =
         match on_incumbent with
         | None -> ()
-        | Some f -> f (sign *. obj) (sign *. Float.min bound_min obj)
+        | Some f -> f (sign *. obj) (sign *. Float.min (bound ()) obj)
       in
-      let update_incumbent x obj =
-        if obj < !incumbent_obj -. 1e-12 then begin
-          incumbent := Some (Array.copy x);
-          incumbent_obj := obj;
-          measure_live ();
-          notify_incumbent obj
-            (match Pqueue.peek_key queue with Some k -> k | None -> obj)
-        end
+      (* Strict improvement by more than 1e-12; a lost race against
+         another domain retries against the fresher value. *)
+      let rec update_incumbent x obj ~bound =
+        let cur = Atomic.get inc in
+        if obj < cur.i_obj -. 1e-12 then
+          if Atomic.compare_and_set inc cur { i_obj = obj; i_sol = Some (Array.copy x) } then
+            notify_incumbent obj bound
+          else update_incumbent x obj ~bound
       in
       (* Carried-in incumbent: a solution of the previous (smaller) model
          zero-extended over the new columns, in original (full) space.
@@ -512,10 +520,9 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
           match Postsolve.restrict ~tol:feas_tol post x with
           | Some xr ->
               let obj = objective_of p0 xr in
-              if obj <= !incumbent_obj +. 1e-9 then begin
-                incumbent := Some xr;
-                incumbent_obj := Float.min !incumbent_obj obj
-              end
+              let cur = Atomic.get inc in
+              if obj <= cur.i_obj +. 1e-9 then
+                Atomic.set inc { i_obj = Float.min cur.i_obj obj; i_sol = Some xr }
           | None -> ())
       | _ -> ());
       (* Carried-in cuts arrive in original space: map them through the
@@ -537,36 +544,31 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       let best_open_bound () =
         match Pqueue.peek_key queue with Some k -> k | None -> infinity
       in
-      let gap_closed () =
-        match !incumbent with
-        | None -> false
-        | Some _ ->
-            let b = best_open_bound () in
-            !incumbent_obj -. b <= options.abs_gap
-            || !incumbent_obj -. b <= options.rel_gap *. Float.max 1e-10 (Float.abs !incumbent_obj)
+      (* Has a real incumbent closed the gap to [bound]?  A bare cutoff
+         (no solution) never counts. *)
+      let gap_met bound =
+        let c = Atomic.get inc in
+        c.i_sol <> None
+        && (c.i_obj -. bound <= options.abs_gap
+           || c.i_obj -. bound <= options.rel_gap *. Float.max 1e-10 (Float.abs c.i_obj))
       in
-      let timed_out = ref false in
-      let unbounded = ref false in
+      let timed_out = Atomic.make false in
+      let unbounded = Atomic.make false in
       (* A node LP killed by the deadline or the pivot cap was dropped
          without resolving its subtree: an empty queue then proves
          nothing, so neither "optimal" nor "infeasible" may be claimed
          off exhaustion. *)
-      let lp_cut_short = ref false in
-      (* Most fractional integer variable of an LP solution. *)
-      let pick_branch_var x =
-        let best = ref (-1) and best_frac = ref options.int_tol in
-        for j = 0 to n - 1 do
-          if integer.(j) then begin
-            let f = x.(j) -. Float.floor x.(j) in
-            let dist = Float.min f (1. -. f) in
-            if dist > !best_frac then begin
-              best := j;
-              best_frac := dist
-            end
-          end
-        done;
-        !best
+      let lp_cut_short = Atomic.make false in
+      (* The deadline and interrupt checks every drive runs between
+         nodes. *)
+      let halted () =
+        if Clock.now () -. t0 > options.time_limit then begin
+          Atomic.set timed_out true;
+          true
+        end
+        else stop_requested ()
       in
+      let pick_branch_var = most_fractional ~int_tol:options.int_tol integer in
       let cut_root_done = ref false in
       let node_cut_budget = ref 8 in
       (* Total cap on applied cuts: every applied cut permanently grows
@@ -591,6 +593,14 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
           List.concat_map (fun sep -> sep xfull) separators
           |> List.filter_map (Cuts.restrict post)
         end
+      in
+      (* Re-solve after appending cuts, warm on the grown basis. *)
+      let resolve_with_cuts basis selected ~lb ~ub =
+        append_cuts selected;
+        let basis = grow_for basis selected in
+        lp_solve options st ~ws:sws ~deadline
+          ?basis:(if options.warm_start then Some basis else None)
+          !pref ~lb ~ub
       in
       (* Root cut loop: separate (GMI from the tableau, covers / cliques
          / structural cuts from the base rows and conflict table), pool,
@@ -638,15 +648,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
               if selected = [] then go := false
               else begin
                 let prev = !r.Simplex.objective in
-                append_cuts selected;
-                let basis = grow_for basis selected in
-                let r' =
-                  Simplex.solve
-                    ?basis:(if options.warm_start then Some basis else None)
-                    ~deadline ~pricing ~harris ~ws:sws !pref ~lb ~ub
-                in
-                lp_iters := !lp_iters + r'.Simplex.iterations;
-                tally counters r';
+                let r' = resolve_with_cuts basis selected ~lb ~ub in
                 if r'.Simplex.status = Status.Lp_optimal then begin
                   r := r';
                   if r'.Simplex.objective -. prev < 1e-4 *. Float.max 1. (Float.abs prev)
@@ -686,18 +688,31 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
             in
             if selected <> [] then begin
               node_cut_budget := !node_cut_budget - List.length selected;
-              append_cuts selected;
-              let basis = grow_for basis selected in
-              let r' =
-                Simplex.solve
-                  ?basis:(if options.warm_start then Some basis else None)
-                  ~deadline ~pricing ~harris ~ws:sws !pref ~lb ~ub
-              in
-              lp_iters := !lp_iters + r'.Simplex.iterations;
-              tally counters r';
+              let r' = resolve_with_cuts basis selected ~lb ~ub in
               if r'.Simplex.status = Status.Lp_optimal then r := r'
             end
         | _ -> ()
+      in
+      (* The sequential drive's separation step: the root cut loop on
+         the first root solve, then occasional rounds at shallow nodes.
+         Workers skip it: the working problem is frozen for them. *)
+      let separate node r ~lb ~ub =
+        if options.cuts then begin
+          if node.changes = [] && not !cut_root_done then begin
+            cut_root_done := true;
+            if !r.Simplex.status = Status.Lp_optimal then begin
+              root_lp_bound := !r.Simplex.objective;
+              root_cut_loop r ~lb ~ub;
+              root_cut_bound := !r.Simplex.objective
+            end
+          end
+          else if
+            !cut_root_done
+            && !node_cut_budget > 0
+            && List.length node.changes <= 3
+            && st.t_nodes land 7 = 3
+          then node_separation r ~lb ~ub
+        end
       in
       (* Reduced-cost fixing: once an incumbent exists, an integer
          variable sitting at a bound whose reduced cost proves that
@@ -705,8 +720,8 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
          the whole subtree (the duals are already on hand from the warm
          solve).  Returns the bound changes to thread into both
          children. *)
-      let rc_fixes_on ~prob ~has_inc ~inc_obj (r : Simplex.result) lb ub =
-        if (not options.rc_fixing) || not has_inc then []
+      let rc_fixes prob (cur : incumbent) (r : Simplex.result) lb ub =
+        if (not options.rc_fixing) || cur.i_sol = None then []
         else
           match r.Simplex.basis with
           | None -> []
@@ -715,7 +730,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
               | None -> []
               | Some d ->
                   let z = r.Simplex.objective in
-                  let cutoff = inc_obj -. options.abs_gap in
+                  let cutoff = cur.i_obj -. options.abs_gap in
                   let x = r.Simplex.primal in
                   let fixes = ref [] in
                   for j = 0 to n - 1 do
@@ -733,14 +748,20 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                   done;
                   !fixes)
       in
-      let rc_fixes r lb ub =
-        rc_fixes_on ~prob:!pref ~has_inc:(!incumbent <> None) ~inc_obj:!incumbent_obj r lb
-          ub
-      in
-      let process node =
-        incr nodes;
+      (* Node processing, shared by every drive: the plain loop, the
+         scheduler chain, the parallel ramp-up and the worker tasks.
+         Only what differs between drives is a parameter: the tallies
+         [t] and simplex workspace [ws] it books on, the working
+         problem [prob], the heuristic schedule [offsets] (worker slots
+         phase rounding and dives apart so domains probe different
+         parts of the tree), the [separate] step, the bound of every
+         other open node [open_bound ()], and where children are
+         [push]ed. *)
+      let process t ~ws ~prob ~offsets:(round_off, dive_off) ~separate ~open_bound ~push node =
+        t.t_nodes <- t.t_nodes + 1;
         (* Prune by bound before paying for the LP. *)
-        if node.nbound >= !incumbent_obj -. options.abs_gap then incr bound_pruned
+        if node.nbound >= (Atomic.get inc).i_obj -. options.abs_gap then
+          t.t_pruned <- t.t_pruned + 1
         else begin
           let lb = Array.copy plb and ub = Array.copy pub in
           List.iter
@@ -750,76 +771,59 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
             node.changes;
           match if node.changes = [] then Some (lb, ub) else propagate p0 integer lb ub with
           | None -> () (* bound propagation proved the node infeasible *)
-          | Some (lb, ub) ->
-          let r =
-            ref
-              (Simplex.solve
-                 ?basis:(node_basis node.nbasis)
-                 ~deadline ~pricing ~harris ~ws:sws !pref ~lb ~ub)
-          in
-          lp_iters := !lp_iters + !r.Simplex.iterations;
-          tally counters !r;
-          if options.cuts then begin
-            if node.changes = [] && not !cut_root_done then begin
-              cut_root_done := true;
-              if !r.Simplex.status = Status.Lp_optimal then begin
-                root_lp_bound := !r.Simplex.objective;
-                root_cut_loop r ~lb ~ub;
-                root_cut_bound := !r.Simplex.objective
-              end
-            end
-            else if
-              !cut_root_done
-              && !node_cut_budget > 0
-              && List.length node.changes <= 3
-              && !nodes land 7 = 3
-            then node_separation r ~lb ~ub
-          end;
-          match !r.Simplex.status with
-          | Status.Lp_infeasible -> ()
-          | Status.Lp_iteration_limit -> lp_cut_short := true
-          | Status.Lp_unbounded -> if !incumbent = None then unbounded := true
-          | Status.Lp_optimal ->
-              let r = !r in
-              let obj = r.Simplex.objective in
-              if obj >= !incumbent_obj -. options.abs_gap then incr bound_pruned
-              else begin
-                let x = r.Simplex.primal in
-                let j = pick_branch_var x in
-                if j < 0 then update_incumbent x obj
-                else begin
-                  if options.rounding_heuristic && !nodes land 15 = 1 then begin
-                    match try_rounding !pref integer lb ub x feas_tol with
-                    | Some y ->
-                        let yobj = objective_of !pref y in
-                        update_incumbent y yobj
-                    | None -> ()
-                  end;
-                  (* Dive for an incumbent: always until the first one
-                     exists, then occasionally to improve it. *)
-                  if
-                    options.rounding_heuristic
-                    && (!incumbent = None || !nodes land 63 = 2)
-                  then begin
-                    match
-                      dive !pref integer options.int_tol lb ub r lp_iters counters
-                        ~warm_start:options.warm_start ~pricing ~harris ~ws:sws
-                        200 ~deadline
-                    with
-                    | Some (y, yobj) -> update_incumbent y yobj
-                    | None -> ()
-                  end;
-                  let fixes = rc_fixes r lb ub in
-                  rc_fixed := !rc_fixed + List.length fixes;
-                  let inherited = List.rev_append fixes node.changes in
-                  let v = x.(j) in
-                  let down = (j, neg_infinity, Float.floor v) in
-                  let up = (j, Float.ceil v, infinity) in
-                  let nbasis = if options.warm_start then r.Simplex.basis else None in
-                  Pqueue.push queue obj { nbound = obj; changes = down :: inherited; nbasis };
-                  Pqueue.push queue obj { nbound = obj; changes = up :: inherited; nbasis }
-                end
-              end
+          | Some (lb, ub) -> (
+              let basis = node_basis node.nbasis in
+              let r = ref (lp_solve options t ~ws ~deadline ?basis !prob ~lb ~ub) in
+              separate node r ~lb ~ub;
+              match !r.Simplex.status with
+              | Status.Lp_infeasible -> ()
+              | Status.Lp_iteration_limit -> Atomic.set lp_cut_short true
+              | Status.Lp_unbounded ->
+                  if (Atomic.get inc).i_sol = None then Atomic.set unbounded true
+              | Status.Lp_optimal ->
+                  let r = !r and prob = !prob in
+                  let obj = r.Simplex.objective in
+                  if obj >= (Atomic.get inc).i_obj -. options.abs_gap then
+                    t.t_pruned <- t.t_pruned + 1
+                  else begin
+                    (* Anything found here lies in this node's subtree,
+                       so the streamed bound covers this node's LP as
+                       well as every other open node. *)
+                    let improve y yobj =
+                      update_incumbent y yobj ~bound:(fun () -> Float.min obj (open_bound ()))
+                    in
+                    let x = r.Simplex.primal in
+                    let j = pick_branch_var x in
+                    if j < 0 then improve x obj
+                    else begin
+                      if options.rounding_heuristic && (t.t_nodes + round_off) land 15 = 1
+                      then begin
+                        match try_rounding prob integer lb ub x feas_tol with
+                        | Some y -> improve y (objective_of prob y)
+                        | None -> ()
+                      end;
+                      (* Dive for an incumbent: always until the first one
+                         exists, then occasionally to improve it. *)
+                      if
+                        options.rounding_heuristic
+                        && ((Atomic.get inc).i_sol = None
+                           || (t.t_nodes + dive_off) land 63 = 2)
+                      then begin
+                        match dive options t ~ws ~deadline prob integer lb ub r 200 with
+                        | Some (y, yobj) -> improve y yobj
+                        | None -> ()
+                      end;
+                      let fixes = rc_fixes prob (Atomic.get inc) r lb ub in
+                      t.t_rc <- t.t_rc + List.length fixes;
+                      let inherited = List.rev_append fixes node.changes in
+                      let v = x.(j) in
+                      let down = (j, neg_infinity, Float.floor v) in
+                      let up = (j, Float.ceil v, infinity) in
+                      let nbasis = if options.warm_start then r.Simplex.basis else None in
+                      push obj { nbound = obj; changes = down :: inherited; nbasis };
+                      push obj { nbound = obj; changes = up :: inherited; nbasis }
+                    end
+                  end)
         end
       in
       (* One turn of the sequential drive: false = the loop is over.
@@ -827,21 +831,18 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
          scheduler-chained form and the parallel ramp-up below, so all
          three walk the same tree. *)
       let seq_step () =
-        if Pqueue.is_empty queue || gap_closed () || !unbounded then false
-        else if !nodes >= options.node_limit then false
-        else if Clock.now () -. t0 > options.time_limit then begin
-          timed_out := true;
+        if Pqueue.is_empty queue || gap_met (best_open_bound ()) || Atomic.get unbounded then
           false
-        end
-        else if stop_requested () then false
+        else if st.t_nodes >= options.node_limit || halted () then false
         else begin
           (match Pqueue.pop queue with
           | Some (_, node) ->
-              process node;
-              if options.log && !nodes mod 500 = 0 then
+              process st ~ws:sws ~prob:pref ~offsets:(0, 0) ~separate
+                ~open_bound:best_open_bound ~push:(Pqueue.push queue) node;
+              if options.log && st.t_nodes mod 500 = 0 then
                 Log.info (fun f ->
-                    f "nodes=%d open=%d incumbent=%g bound=%g" !nodes (Pqueue.length queue)
-                      !incumbent_obj (best_open_bound ()))
+                    f "nodes=%d open=%d incumbent=%g bound=%g" st.t_nodes (Pqueue.length queue)
+                      (Atomic.get inc).i_obj (best_open_bound ()))
           | None -> ());
           true
         end
@@ -872,9 +873,9 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         if !bounded then begin
           let obj = objective_of p0 x in
           root_lp_bound := obj;
-          update_incumbent x obj
+          update_incumbent x obj ~bound:(fun () -> obj)
         end
-        else if !incumbent = None then unbounded := true
+        else if (Atomic.get inc).i_sol = None then Atomic.set unbounded true
       end;
       (* The open-tree bound after the drive: sequential reads the one
          heap, parallel also folds in the scheduler handle (queued plus
@@ -916,168 +917,61 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
           let ramp_width = 2 * nslots in
           let ramp_nodes = 32 in
           let rec ramp () =
-            if Pqueue.length queue < ramp_width && !nodes < ramp_nodes && seq_step () then
+            if Pqueue.length queue < ramp_width && st.t_nodes < ramp_nodes && seq_step () then
               ramp ()
           in
           ramp ();
           if
             not
-              (Pqueue.is_empty queue || gap_closed () || !unbounded || !timed_out
-              || stop_requested ()
-              || !nodes >= options.node_limit)
+              (Pqueue.is_empty queue
+              || gap_met (best_open_bound ())
+              || Atomic.get unbounded || Atomic.get timed_out || stop_requested ()
+              || st.t_nodes >= options.node_limit)
           then begin
             (* Phase 2 — freeze the cut-augmented problem and hand the
                frontier to the scheduler, dealt round-robin so workers
                start in different subtrees. *)
-            let pw = !pref in
+            let pw = ref !pref in
             let h = Scheduler.submit sched in
             par_handle := Some h;
-            let inc =
-              Atomic.make
-                { i_obj = !incumbent_obj; i_sol = Option.map Array.copy !incumbent }
-            in
-            let rec update_inc x obj =
-              let cur = Atomic.get inc in
-              if obj < cur.i_obj -. 1e-12 then
-                if
-                  Atomic.compare_and_set inc cur
-                    { i_obj = obj; i_sol = Some (Array.copy x) }
-                then notify_incumbent obj (Scheduler.best_bound h)
-                else update_inc x obj
-            in
-            let total_nodes = Atomic.make !nodes in
-            let timed_out_a = Atomic.make false in
-            let unbounded_a = Atomic.make false in
-            let lp_cut_short_a = Atomic.make false in
-            let wstats =
-              Array.init nslots (fun _ ->
-                  {
-                    ws_nodes = 0;
-                    ws_lp = ref 0;
-                    ws_counters = { warm = 0; cold = 0; fallback = 0 };
-                    ws_pruned = 0;
-                    ws_rc = 0;
-                  })
-            in
-            (* One simplex workspace per worker slot: a slot runs one
-               task of this solve at a time, so buffers are reused
-               across that slot's node re-solves and never shared. *)
+            let total_nodes = Atomic.make st.t_nodes in
+            (* One tally record and one simplex workspace per worker
+               slot: a slot runs one task of this solve at a time, so
+               buffers are reused across that slot's node re-solves and
+               never shared. *)
+            let wts = Array.init nslots (fun _ -> new_tallies ()) in
             let wss = Array.init nslots (fun _ -> Simplex.create_workspace ()) in
-            let gap_closed_now () =
-              let c = Atomic.get inc in
-              c.i_obj < infinity
-              &&
+            (* Until the deal below has pushed the whole frontier, the
+               nodes still in the local heap are invisible to the
+               scheduler; the frontier minimum, read before dealing,
+               bounds them. *)
+            let frontier = best_open_bound () in
+            let dealing = Atomic.make true in
+            let open_bound () =
               let b = Scheduler.best_bound h in
-              c.i_obj -. b <= options.abs_gap
-              || c.i_obj -. b <= options.rel_gap *. Float.max 1e-10 (Float.abs c.i_obj)
+              if Atomic.get dealing then Float.min frontier b else b
             in
-            (* Node processing for a worker: same shape as [process]
-               minus anything that writes shared state — no cut
-               separation (the problem is frozen), incumbent via CAS,
-               tallies slot-local.  Heuristic gating is offset by slot
-               index and seed so the domains probe different parts of
-               the tree for incumbents instead of duplicating the same
-               dives.  [wtask] wraps it with the per-node deadline /
-               interrupt / node-limit / gap checks the worker loop used
-               to run; the scheduler retires each task after its
-               children are pushed, preserving the exhaustion proof. *)
+            (* A worker task: the per-node deadline / interrupt /
+               node-limit checks, then the shared [process] on the
+               frozen problem with no separation and children pushed to
+               this slot's heap; then the gap test.  The scheduler
+               retires each task after its children are pushed,
+               preserving the exhaustion proof. *)
             let rec wtask node slot =
-              let st = wstats.(slot) in
-              if Clock.now () -. t0 > options.time_limit then begin
-                Atomic.set timed_out_a true;
-                Scheduler.stop h
-              end
-              else if stop_requested () then Scheduler.stop h
+              if halted () then Scheduler.stop h
               else if Atomic.fetch_and_add total_nodes 1 >= options.node_limit then begin
                 Atomic.decr total_nodes;
                 Scheduler.stop h
               end
               else begin
-                st.ws_nodes <- st.ws_nodes + 1;
-                wprocess slot st node;
-                if Atomic.get unbounded_a || gap_closed_now () then Scheduler.stop h
+                process wts.(slot) ~ws:wss.(slot) ~prob:pw
+                  ~offsets:(slot, options.seed + (17 * slot))
+                  ~separate:(fun _ _ ~lb:_ ~ub:_ -> ())
+                  ~open_bound
+                  ~push:(fun key child -> Scheduler.push h ~worker:slot key (wtask child))
+                  node;
+                if Atomic.get unbounded || gap_met (open_bound ()) then Scheduler.stop h
               end
-            and wprocess wi st node =
-            if node.nbound >= (Atomic.get inc).i_obj -. options.abs_gap then
-              st.ws_pruned <- st.ws_pruned + 1
-            else begin
-              let lb = Array.copy plb and ub = Array.copy pub in
-              List.iter
-                (fun (j, l, u) ->
-                  lb.(j) <- Float.max lb.(j) l;
-                  ub.(j) <- Float.min ub.(j) u)
-                node.changes;
-              match
-                if node.changes = [] then Some (lb, ub) else propagate p0 integer lb ub
-              with
-              | None -> ()
-              | Some (lb, ub) -> (
-                  let r =
-                    Simplex.solve
-                      ?basis:(node_basis node.nbasis)
-                      ~deadline ~pricing ~harris ~ws:wss.(wi) pw ~lb ~ub
-                  in
-                  st.ws_lp := !(st.ws_lp) + r.Simplex.iterations;
-                  tally st.ws_counters r;
-                  match r.Simplex.status with
-                  | Status.Lp_infeasible -> ()
-                  | Status.Lp_iteration_limit -> Atomic.set lp_cut_short_a true
-                  | Status.Lp_unbounded ->
-                      if (Atomic.get inc).i_sol = None then Atomic.set unbounded_a true
-                  | Status.Lp_optimal ->
-                      let obj = r.Simplex.objective in
-                      if obj >= (Atomic.get inc).i_obj -. options.abs_gap then
-                        st.ws_pruned <- st.ws_pruned + 1
-                      else begin
-                        let x = r.Simplex.primal in
-                        let j = pick_branch_var x in
-                        if j < 0 then update_inc x obj
-                        else begin
-                          if options.rounding_heuristic && (st.ws_nodes + wi) land 15 = 1
-                          then begin
-                            match try_rounding pw integer lb ub x feas_tol with
-                            | Some y -> update_inc y (objective_of pw y)
-                            | None -> ()
-                          end;
-                          if
-                            options.rounding_heuristic
-                            && ((Atomic.get inc).i_sol = None
-                               || (st.ws_nodes + options.seed + (17 * wi)) land 63 = 2)
-                          then begin
-                            match
-                              dive pw integer options.int_tol lb ub r st.ws_lp
-                                st.ws_counters ~warm_start:options.warm_start ~pricing
-                                ~harris ~ws:wss.(wi) 200 ~deadline
-                            with
-                            | Some (y, yobj) -> update_inc y yobj
-                            | None -> ()
-                          end;
-                          let cur = Atomic.get inc in
-                          let fixes =
-                            rc_fixes_on ~prob:pw ~has_inc:(cur.i_sol <> None)
-                              ~inc_obj:cur.i_obj r lb ub
-                          in
-                          st.ws_rc <- st.ws_rc + List.length fixes;
-                          let inherited = List.rev_append fixes node.changes in
-                          let v = x.(j) in
-                          let nbasis = if options.warm_start then r.Simplex.basis else None in
-                          Scheduler.push h ~worker:wi obj
-                            (wtask
-                               {
-                                 nbound = obj;
-                                 changes = (j, neg_infinity, Float.floor v) :: inherited;
-                                 nbasis;
-                               });
-                          Scheduler.push h ~worker:wi obj
-                            (wtask
-                               {
-                                 nbound = obj;
-                                 changes = (j, Float.ceil v, infinity) :: inherited;
-                                 nbasis;
-                               })
-                        end
-                      end)
-            end
             in
             (* Deal the frontier round-robin so workers start in
                different subtrees; the shared pool begins executing as
@@ -1094,27 +988,9 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
               | None -> ()
             in
             deal ();
+            Atomic.set dealing false;
             Scheduler.await h;
-            Array.iter
-              (fun st ->
-                nodes := !nodes + st.ws_nodes;
-                lp_iters := !lp_iters + !(st.ws_lp);
-                counters.warm <- counters.warm + st.ws_counters.warm;
-                counters.cold <- counters.cold + st.ws_counters.cold;
-                counters.fallback <- counters.fallback + st.ws_counters.fallback;
-                bound_pruned := !bound_pruned + st.ws_pruned;
-                rc_fixed := !rc_fixed + st.ws_rc)
-              wstats;
-            let c = Atomic.get inc in
-            incumbent_obj := c.i_obj;
-            (match c.i_sol with
-            | Some x ->
-                incumbent := Some x;
-                measure_live ()
-            | None -> ());
-            if Atomic.get timed_out_a then timed_out := true;
-            if Atomic.get unbounded_a then unbounded := true;
-            if Atomic.get lp_cut_short_a then lp_cut_short := true
+            Array.iter (absorb st) wts
           end
         in
         if owned_sched then
@@ -1122,51 +998,40 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         else run_parallel ()
       end;
       let exhausted, open_bound =
+        let settled = not (Atomic.get lp_cut_short) && Pqueue.is_empty queue in
         match !par_handle with
-        | None -> ((not !lp_cut_short) && Pqueue.is_empty queue, best_open_bound ())
+        | None -> (settled, best_open_bound ())
         | Some h ->
-            ( (not !lp_cut_short) && Scheduler.drained h && Pqueue.is_empty queue,
-              Float.min (Scheduler.best_bound h) (best_open_bound ()) )
+            (settled && Scheduler.drained h, Float.min (Scheduler.best_bound h) (best_open_bound ()))
       in
-      let gap_ok =
-        match !incumbent with
-        | None -> false
-        | Some _ ->
-            !incumbent_obj -. open_bound <= options.abs_gap
-            || !incumbent_obj -. open_bound
-               <= options.rel_gap *. Float.max 1e-10 (Float.abs !incumbent_obj)
-      in
+      let { i_obj; i_sol } = Atomic.get inc in
       let final_bound =
-        match !incumbent with
-        | Some _ when exhausted -> !incumbent_obj
-        | _ -> Float.min open_bound !incumbent_obj
+        match i_sol with Some _ when exhausted -> i_obj | _ -> Float.min open_bound i_obj
       in
-      if !unbounded then
-        finish Status.Mip_unbounded ~objective:neg_infinity ~bound:neg_infinity ~solution:None
-          ~nodes:!nodes ~lp_iterations:!lp_iters
+      if Atomic.get unbounded then
+        finish Status.Mip_unbounded ~objective:neg_infinity ~bound:neg_infinity ~solution:None st
       else begin
-        match !incumbent with
+        match i_sol with
         | Some x ->
             let status =
-              if exhausted || gap_ok then Status.Mip_optimal else Status.Mip_feasible
+              if exhausted || gap_met open_bound then Status.Mip_optimal else Status.Mip_feasible
             in
             (* Incumbents live in reduced space throughout the tree;
                postsolve back to the original index space only here. *)
-            finish status ~objective:!incumbent_obj ~bound:final_bound
+            finish status ~objective:i_obj ~bound:final_bound
               ~solution:(Some (Postsolve.restore post x))
-              ~nodes:!nodes ~lp_iterations:!lp_iters
+              st
         | None ->
             let status =
               (* With a cutoff installed, an exhausted tree only proves
                  "nothing better than the cutoff", not infeasibility. *)
               if
                 exhausted
-                && (not !timed_out)
-                && !nodes < options.node_limit
+                && (not (Atomic.get timed_out))
+                && st.t_nodes < options.node_limit
                 && Float.is_nan options.cutoff
               then Status.Mip_infeasible
               else Status.Mip_unknown
             in
-            finish status ~objective:infinity ~bound:final_bound ~solution:None ~nodes:!nodes
-              ~lp_iterations:!lp_iters
+            finish status ~objective:infinity ~bound:final_bound ~solution:None st
       end

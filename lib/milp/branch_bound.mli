@@ -87,10 +87,6 @@ type options = {
       (** Harris two-pass primal ratio test plus bound-flipping dual
           ratio test (default [true]); [false] restores the classic
           smallest-ratio tests — the [--no-harris] ablation baseline. *)
-  mem_stats : bool;
-      (** Record [Gc.stat] live heap words each time the incumbent
-          improves (default [false]; a full-heap walk, so opt-in).  The
-          last measurement is returned as [result.live_words]. *)
   log : bool;  (** Print a progress line every ~500 nodes via [Logs]. *)
   nworkers : int;
       (** Worker domains for the tree search (default [1]).  With
@@ -161,10 +157,6 @@ type result = {
           from-scratch propagation (see [presolve_state] on {!solve}). *)
   presolve_stats : Presolve.pass_stats list;
       (** Per-pass removal/change counts, one entry per enabled pass. *)
-  live_words : int;
-      (** [Gc.stat] live heap words when the incumbent last improved;
-          [0] unless [options.mem_stats] was set (or no incumbent was
-          found). *)
   elapsed : float;  (** Wall-clock seconds. *)
 }
 
@@ -203,8 +195,11 @@ val solve :
 
     [on_incumbent] fires on every strict incumbent improvement with
     (objective, best proven bound) in the model's own direction — the
-    daemon's streaming update hook.  With [nworkers > 1] it runs on a
-    worker domain, so it must be thread-safe.
+    daemon's streaming update hook.  The bound covers the node in hand
+    (whose rounding or dive found the incumbent) as well as every other
+    open node, so it never passes the final proven optimum.  With
+    [nworkers > 1] it runs on a worker domain, so it must be
+    thread-safe.
 
     [scheduler] runs the tree search on a shared {!Scheduler} (a
     daemon's resident domain pool) instead of domains owned by this

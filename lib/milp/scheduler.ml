@@ -236,17 +236,23 @@ let push h ~worker key task =
   Mutex.unlock sv.hlocks.(i);
   broadcast h.sched
 
+(* Every heap lock is held at once, taken in index order (nothing else
+   holds two).  A scan that released heap [i] before reading heap [j]
+   could miss a node entirely: its task pushes the children onto the
+   already-read heap [i], then retires the parent from [j]'s in-flight
+   list before the scan gets there.  A bound read that way can claim a
+   closed gap and stop the solve early. *)
 let best_bound h =
   let sv = h.sv in
+  Array.iter Mutex.lock sv.hlocks;
   let best = ref infinity in
   for i = 0 to Array.length sv.heaps - 1 do
-    Mutex.lock sv.hlocks.(i);
     (match Pqueue.peek_key sv.heaps.(i) with
     | Some k -> if k < !best then best := k
     | None -> ());
-    List.iter (fun k -> if k < !best then best := k) !(sv.inflight.(i));
-    Mutex.unlock sv.hlocks.(i)
+    List.iter (fun k -> if k < !best then best := k) !(sv.inflight.(i))
   done;
+  Array.iter Mutex.unlock sv.hlocks;
   !best
 
 let queued h =

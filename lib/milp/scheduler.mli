@@ -74,7 +74,8 @@ val push : handle -> worker:int -> float -> (int -> unit) -> unit
 
 val best_bound : handle -> float
 (** Minimum key over this solve's queued and in-flight nodes
-    ([infinity] when none). *)
+    ([infinity] when none), read as one snapshot under every heap
+    lock. *)
 
 val queued : handle -> int
 (** Queued (not in-flight) nodes of this solve. *)

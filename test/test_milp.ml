@@ -1135,6 +1135,70 @@ let test_bb_cutoff_minimize () =
   let r = Branch_bound.solve ~options m in
   Alcotest.(check bool) "min with cutoff at optimum" true (r.Branch_bound.solution = None)
 
+(* A 32-item 0-1 knapsack with pseudo-random weights and values: with
+   presolve and cuts off the sequential tree takes 37 nodes, past the
+   parallel ramp-up, so at two workers the worker tasks do most of the
+   search.  The instance also catches a worker that takes the gap as
+   closed while the ramp-up frontier is still being dealt: the search
+   then stops early with a suboptimal "feasible" answer. *)
+let worker_knapsack () =
+  let m = Model.create () in
+  let seed = ref 12345 in
+  let next () =
+    seed := ((!seed * 1103515245) + 12345) land 0x3fffffff;
+    float_of_int (20 + ((!seed lsr 8) mod 81))
+  in
+  let items =
+    List.init 32 (fun i ->
+        let w = next () in
+        let c = next () in
+        (Model.add_binary m (Printf.sprintf "x%d" i), w, c))
+  in
+  let total = List.fold_left (fun acc (_, w, _) -> acc +. w) 0. items in
+  Model.add_constr m
+    (Lin.of_list (List.map (fun (v, w, _) -> (w, v)) items))
+    Model.Le
+    (Float.round (total /. 2.) +. 0.5);
+  Model.set_objective m Model.Maximize (Lin.of_list (List.map (fun (v, _, c) -> (c, v)) items));
+  m
+
+let worker_options ?(cutoff = nan) ?(node_limit = 200_000) nworkers =
+  {
+    Branch_bound.default_options with
+    Branch_bound.presolve = false;
+    cut_families = [];
+    nworkers;
+    cutoff;
+    node_limit;
+  }
+
+let test_bb_workers_match_sequential () =
+  let seq = Branch_bound.solve ~options:(worker_options 1) (worker_knapsack ()) in
+  Alcotest.check mip_status "sequential optimal" Status.Mip_optimal seq.Branch_bound.status;
+  Alcotest.(check bool) "tree outlives the ramp-up" true (seq.Branch_bound.nodes > 32);
+  let par = Branch_bound.solve ~options:(worker_options 2) (worker_knapsack ()) in
+  Alcotest.check mip_status "parallel optimal" Status.Mip_optimal par.Branch_bound.status;
+  check_feq "objective matches nworkers = 1" seq.Branch_bound.objective
+    par.Branch_bound.objective
+
+let test_bb_workers_cutoff () =
+  (* A cutoff equal to the optimum: the workers must accept nothing and
+     must not claim infeasibility. *)
+  let opt =
+    (Branch_bound.solve ~options:(worker_options 1) (worker_knapsack ())).Branch_bound.objective
+  in
+  let r = Branch_bound.solve ~options:(worker_options ~cutoff:opt 2) (worker_knapsack ()) in
+  Alcotest.(check bool) "nothing beats the optimum" true (r.Branch_bound.solution = None);
+  Alcotest.check mip_status "unknown, not infeasible" Status.Mip_unknown r.Branch_bound.status
+
+let test_bb_workers_node_limit () =
+  (* Past the ramp-up (a handful of nodes at two workers) but well short
+     of the 37-node proof. *)
+  let node_limit = 16 in
+  let r = Branch_bound.solve ~options:(worker_options ~node_limit 2) (worker_knapsack ()) in
+  Alcotest.(check bool) "node limit respected" true (r.Branch_bound.nodes <= node_limit);
+  Alcotest.(check bool) "not proved optimal" true (r.Branch_bound.status <> Status.Mip_optimal)
+
 let test_model_add_range () =
   let m = Model.create () in
   let x = Model.add_var m ~ub:10. "x" in
@@ -1929,6 +1993,9 @@ let () =
           Alcotest.test_case "pure bounds" `Quick test_bb_respects_bound;
           Alcotest.test_case "cutoff prunes" `Quick test_bb_cutoff_prunes;
           Alcotest.test_case "cutoff minimize" `Quick test_bb_cutoff_minimize;
+          Alcotest.test_case "workers match sequential" `Quick test_bb_workers_match_sequential;
+          Alcotest.test_case "cutoff under workers" `Quick test_bb_workers_cutoff;
+          Alcotest.test_case "node limit under workers" `Quick test_bb_workers_node_limit;
           qt prop_bb_matches_brute_force;
           qt prop_bb_solution_is_feasible;
           qt prop_bb_warm_start_invariant;

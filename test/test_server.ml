@@ -523,6 +523,42 @@ let test_bb_sequential_via_scheduler_replay () =
       Alcotest.(check (float 1e-9)) "objective parity" plain.Branch_bound.objective
         via.Branch_bound.objective
 
+let test_bb_streamed_bound_honest () =
+  (* Every (objective, bound) pair streamed through [on_incumbent] must
+     carry a bound the final proven optimum respects: an incumbent found
+     by a node's rounding or dive is bounded by that node's own LP too,
+     not only by the other open nodes.  Checked on the sequential drive,
+     the scheduler chain, and the two-worker ramp-up plus workers. *)
+  match
+    Archex.Scenarios.data_collection ~objective:Archex.Objective.energy
+      par_test_params
+  with
+  | Error e -> Alcotest.fail e
+  | Ok inst ->
+      let check tag ?sched workers =
+        let lock = Mutex.create () and streamed = ref [] in
+        let record o b = Mutex.protect lock (fun () -> streamed := (o, b) :: !streamed) in
+        let cfg = base_cfg ~workers |> Archex.Solver_config.with_on_incumbent record in
+        let cfg = match sched with Some s -> on_scheduler s cfg | None -> cfg in
+        let mip = (solve_cfg cfg inst).Archex.Outcome.mip in
+        Alcotest.(check string) (tag ^ ": proved optimal") "optimal"
+          (Status.mip_status_to_string mip.Branch_bound.status);
+        let opt = mip.Branch_bound.objective in
+        Alcotest.(check bool) (tag ^ ": streamed an incumbent") true (!streamed <> []);
+        List.iter
+          (fun (o, b) ->
+            if b > opt +. (1e-9 *. Float.max 1. (Float.abs opt)) then
+              Alcotest.failf "%s: update (obj %g, bound %g) claims a bound above the optimum %g"
+                tag o b opt)
+          !streamed
+      in
+      check "workers=1" 1;
+      let s = Scheduler.create ~nworkers:2 in
+      Fun.protect
+        ~finally:(fun () -> Scheduler.shutdown s)
+        (fun () -> check "workers=1 via scheduler" ~sched:s 1);
+      check "workers=2" 2
+
 let test_bb_parallel_via_shared_scheduler () =
   (* workers > 1 through a shared pool must agree with the owned-pool
      parallel search on status and objective. *)
@@ -875,6 +911,8 @@ let () =
         [
           Alcotest.test_case "sequential replay is bit-identical" `Slow
             test_bb_sequential_via_scheduler_replay;
+          Alcotest.test_case "streamed bounds never pass the optimum" `Slow
+            test_bb_streamed_bound_honest;
           Alcotest.test_case "parallel parity through shared pool" `Slow
             test_bb_parallel_via_shared_scheduler;
           Alcotest.test_case "concurrent solves share the pool" `Slow
