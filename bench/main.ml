@@ -993,7 +993,7 @@ let run_presolve_sweep_once inst ~tweak ~scenario ~mode =
             None
         | Ok () ->
             let s = Session.solve session in
-            direction := fst (Milp.Model.objective s.Outcome.model);
+            direction := Milp.Model.direction s.Outcome.model;
             let mip = s.Outcome.mip in
             let st = s.Outcome.stats in
             last_stats := mip.Milp.Branch_bound.presolve_stats;

@@ -32,7 +32,7 @@ let search ?(schedule = default_schedule) ?(time_threshold_s = 60.)
             go rest
         | Ok () ->
             let outcome = Session.solve session in
-            let direction = fst (Milp.Model.objective outcome.Outcome.model) in
+            let direction = Milp.Model.direction outcome.Outcome.model in
             (* [before] is better than [after] by more than [eps]? *)
             let better before after eps =
               match direction with

@@ -36,5 +36,11 @@ type t = {
   status : Milp.Status.mip_status;
   stats : stats;
   mip : Milp.Branch_bound.result;
-  model : Milp.Model.t;  (** The solved model (e.g. for LP export). *)
+      (** The solver's result.  From {!Session.solve} its [carry_cuts]
+          is empty: the session keeps them for its next solve. *)
+  model : Milp.Model.t;
+      (** The solved model (e.g. for LP export).  From {!Session.solve}
+          it is the session's live model, which later {!Session.grow}
+          calls extend in place; [stats.nvars] and [stats.nconstrs]
+          give the size that was solved. *)
 }

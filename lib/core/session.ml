@@ -143,7 +143,7 @@ let solve t =
   | Some enc ->
       let options = Solver_config.bb_options t.s_config in
       let model = Encode_common.model enc.e_ctx in
-      let direction = fst (Model.objective model) in
+      let direction = Model.direction model in
       (* Primal matheuristic: on the first solve (no carried incumbent
          yet) run the tabu search and adopt its best solution as a warm
          incumbent + cutoff.  The tree search keeps the optimality
@@ -203,6 +203,8 @@ let solve t =
           Option.map (fun mark -> Model.touched_since model mark) t.s_mark
         else None
       in
+      (* The outcome keeps the model: hand it over without growth slack. *)
+      Model.compact model;
       let t1 = Clock.now () in
       let mip =
         BB.solve ~options ~seed_cuts:t.s_carry_cuts
@@ -214,6 +216,11 @@ let solve t =
           ?scheduler:(Solver_config.scheduler t.s_config) model
       in
       t.s_mark <- Some (Model.mark model);
+      (* The carry-out cuts stay in the session for its next solve; the
+         outcome goes without them, so a kept outcome does not hold the
+         cut pool alive. *)
+      t.s_carry_cuts <- mip.BB.carry_cuts;
+      let mip = { mip with BB.carry_cuts = [] } in
       let t2 = Clock.now () in
       let solution =
         match mip.BB.solution with
@@ -234,7 +241,6 @@ let solve t =
       | None -> ());
       (* A previous carry stays valid even when this solve found
          nothing: the model only grew and the vector re-validates. *)
-      t.s_carry_cuts <- mip.BB.carry_cuts;
       let outcome =
         {
           Outcome.solution;

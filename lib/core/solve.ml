@@ -41,6 +41,7 @@ let run (config : Solver_config.t) inst =
       let enc = Full_encoding.encode inst in
       let t1 = Clock.now () in
       let model = Encode_common.model enc.Full_encoding.ctx in
+      Milp.Model.compact model;
       let mip =
         Milp.Branch_bound.solve ~options
           ~separators:(Struct_cuts.separators enc.Full_encoding.ctx)

@@ -285,7 +285,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
   let p = Simplex.of_model model in
   let nfull = p.Simplex.ncols in
   let mfull = Array.length p.Simplex.rows in
-  let direction = fst (Model.objective model) in
+  let direction = Model.direction model in
   let sign = match direction with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   let integer_full = Array.init nfull (Model.is_integer model) in
   let root_lb = Array.init nfull (Model.var_lb model) in

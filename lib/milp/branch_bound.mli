@@ -137,7 +137,8 @@ type result = {
       (** Carry-out for an incremental session: every cut applied this
           solve followed by the pool's survivors.  All are globally
           valid for this model; feed them back as [seed_cuts] after the
-          model grows. *)
+          model grows.  [Session.solve] keeps them in its session for
+          the next solve and returns this field empty. *)
   bound_pruned : int;
       (** Nodes pruned against the incumbent/cutoff bound — before the
           LP (parent bound already too poor) or right after it. *)

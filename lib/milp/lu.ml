@@ -311,6 +311,103 @@ let factorize ~m col =
              rowcols.(r) <- c :: rowcols.(r))
            colent.(c)
        done;
+       (* Candidate columns for a zero-score pivot (a column singleton,
+          or an entry alone in its row), as a min-heap of column indices
+          with lazy deletion.  Invariant: every active column that holds
+          an eligible zero-score entry is in the heap.  Such an entry can
+          only appear when its column is rewritten (pushed below) or
+          when one of its rows drops to a count of 1 (its columns are
+          pushed by [dec_row]); the heap may also hold columns that no
+          longer qualify, which are discarded when they reach the top.
+          The heap lives in [mark], dead once the columns are assembled,
+          and the membership flags in a byte string, so the search adds
+          no m-word array to the major heap.  [Pqueue] would allocate a
+          boxed entry per push and an option per pop on this hot path. *)
+       let heap = mark and hn = ref m in
+       for c = 0 to m - 1 do
+         heap.(c) <- c
+       done;
+       let inheap = Bytes.make m '\001' in
+       let push c =
+         if Bytes.get inheap c = '\000' then begin
+           Bytes.set inheap c '\001';
+           let i = ref !hn in
+           incr hn;
+           while !i > 0 && heap.((!i - 1) / 2) > c do
+             heap.(!i) <- heap.((!i - 1) / 2);
+             i := (!i - 1) / 2
+           done;
+           heap.(!i) <- c
+         end
+       in
+       let pop () =
+         let top = heap.(0) in
+         Bytes.set inheap top '\000';
+         decr hn;
+         let n = !hn in
+         if n > 0 then begin
+           let x = heap.(n) in
+           let i = ref 0 and sifting = ref true in
+           while !sifting do
+             let l = (2 * !i) + 1 in
+             if l >= n then sifting := false
+             else begin
+               let s = if l + 1 < n && heap.(l + 1) < heap.(l) then l + 1 else l in
+               if heap.(s) < x then begin
+                 heap.(!i) <- heap.(s);
+                 i := s
+               end
+               else sifting := false
+             end
+           done;
+           heap.(!i) <- x
+         end;
+         top
+       in
+       let rec push_active = function
+         | [] -> ()
+         | c :: tl ->
+             if not coldone.(c) then push c;
+             push_active tl
+       in
+       (* Row counts only fall here; a row whose count reaches 1 may
+          have made its last column eligible.  A rewritten column adds
+          its new entries to the counts before removing its old ones, so
+          a row it keeps never passes through 1 on the way. *)
+       let dec_row r =
+         let n = rcount.(r) - 1 in
+         rcount.(r) <- n;
+         if n = 1 then push_active rowcols.(r)
+       in
+       (* The entry of column [c] that the full scan below would pick if
+          [c] were the first column it reached with a zero score: among
+          entries passing the threshold with (ccount-1)(rcount-1) = 0,
+          the largest |a|, the first in entry order on ties.  -1 when
+          there is none. *)
+       let zero_score_entry c =
+         let entries = colent.(c) in
+         let cmax = ref 0. in
+         for e = 0 to Array.length entries - 1 do
+           let _, a = Array.unsafe_get entries e in
+           let aa = Float.abs a in
+           if aa > !cmax then cmax := aa
+         done;
+         let best = ref (-1) and babs = ref 0. in
+         if !cmax > 1e-11 then begin
+           let thresh = 0.1 *. !cmax in
+           let cc = ccount.(c) in
+           for e = 0 to Array.length entries - 1 do
+             let r, a = Array.unsafe_get entries e in
+             let aa = Float.abs a in
+             if aa >= thresh && (cc - 1) * (rcount.(r) - 1) = 0 && (!best < 0 || aa > !babs)
+             then begin
+               best := e;
+               babs := aa
+             end
+           done
+         end;
+         !best
+       in
        let prow = Array.make m 0 and pcol = Array.make m 0 in
        let udiag = FA.create m in
        let lraw = Array.make m [||] in
@@ -323,8 +420,10 @@ let factorize ~m col =
        for step = 0 to m - 1 do
          (* Markowitz search under threshold pivoting: minimize the fill
             estimate (ccount-1)(rcount-1) over entries carrying at least
-            a tenth of their column's largest active magnitude.  A zero
-            score cannot be beaten, so stop scanning when one shows. *)
+            a tenth of their column's largest active magnitude, ties to
+            the larger |a|, then to scan order.  A zero score cannot be
+            beaten, so the scan stops at the first column showing one;
+            the heap hands over that same column directly. *)
          let bc = ref (-1) and br = ref (-1) and ba = ref 0. in
          let bscore = ref max_int in
          let exception Done in
@@ -333,6 +432,20 @@ let factorize ~m col =
             accumulator store — this scan dominated factorization
             allocation. *)
          (try
+            while !hn > 0 do
+              let c = pop () in
+              if not coldone.(c) then begin
+                let e = zero_score_entry c in
+                if e >= 0 then begin
+                  let r, a = colent.(c).(e) in
+                  bc := c;
+                  br := r;
+                  ba := a;
+                  raise Done
+                end
+              end
+            done;
+            (* No zero-score pivot left: scan every active column. *)
             for c = 0 to m - 1 do
               if not coldone.(c) then begin
                 let entries = colent.(c) in
@@ -389,7 +502,7 @@ let factorize ~m col =
          lraw.(step) <- lents;
          for e = 0 to npiv - 1 do
            let r, _ = Array.unsafe_get pivcol e in
-           rcount.(r) <- rcount.(r) - 1
+           dec_row r
          done;
          colent.(pc) <- [||];
          ccount.(pc) <- 0;
@@ -439,17 +552,18 @@ let factorize ~m col =
                    end
                  done;
                  let keep = List.filter (fun r -> Float.abs acc.(r) > drop_tol) !touched in
-                 for e = 0 to nent - 1 do
-                   let r, _ = Array.unsafe_get entries e in
-                   rcount.(r) <- rcount.(r) - 1
-                 done;
                  let arr = Array.of_list (List.rev_map (fun r -> (r, acc.(r))) keep) in
                  for e = 0 to Array.length arr - 1 do
                    let r, _ = Array.unsafe_get arr e in
                    rcount.(r) <- rcount.(r) + 1
                  done;
+                 for e = 0 to nent - 1 do
+                   let r, _ = Array.unsafe_get entries e in
+                   dec_row r
+                 done;
                  colent.(c) <- arr;
-                 ccount.(c) <- Array.length arr
+                 ccount.(c) <- Array.length arr;
+                 push c
                end
              end)
            rowcols.(pr);

@@ -40,10 +40,23 @@ type factor
 val factorize : m:int -> (int -> (int * float) array) -> t option
 (** [factorize ~m col] factorizes the [m]×[m] matrix whose column at
     position [i] is the sparse vector [col i] (duplicate row entries are
-    summed, as in constraint-column storage).  Returns [None] when the
-    matrix is singular or fails the conditioning probe (solving against
-    the all-ones vector must reproduce it to a relative 1e-8), so a
-    caller can fall back to a cold start. *)
+    summed, as in constraint-column storage).
+
+    Pivot rule, at each elimination step: among active entries carrying
+    at least 0.1 of their column's largest active magnitude (columns
+    whose largest is at most 1e-11 offer none), take the smallest fill
+    score [(column count - 1) * (row count - 1)], then the largest
+    |a|, then the first in scan order (columns by position, entries in
+    column order).  A zero score cannot be beaten, so it ends the
+    search at the first column in position order that holds one; the
+    pivot is that column's zero-score entry of largest |a| (the first
+    on ties).  Zero-score pivots are found without a full scan, but
+    the choice, and so the factors, are those of the full scan.
+
+    Returns [None] when the matrix is singular or fails the
+    conditioning probe (solving against the all-ones vector must
+    reproduce it to a relative 1e-8), so a caller can fall back to a
+    cold start. *)
 
 val dim : t -> int
 

@@ -63,11 +63,24 @@ val set_row : t -> int -> Lin.t -> sense -> float -> unit
 val add_range : t -> ?name:string -> float -> Lin.t -> float -> unit
 (** [add_range m lo e hi] adds [lo <= e <= hi] as two constraints. *)
 
+val compact : t -> unit
+(** Release the spare capacity that growing the model left behind, and
+    the terms of rows {!set_row} replaced, so a model kept after its
+    solve holds only its contents.  The model can still grow
+    afterwards. *)
+
 val set_objective : t -> direction -> Lin.t -> unit
 (** Replace the objective.  The expression's constant term is kept and
-    reported as part of objective values. *)
+    reported as part of objective values.
+    @raise Invalid_argument if the expression has a term on a variable
+    the model does not have. *)
 
 val objective : t -> direction * Lin.t
+(** The objective is stored packed, so each call builds the [Lin.t]
+    afresh. *)
+
+val direction : t -> direction
+(** [fst (objective m)], without building the expression. *)
 
 val set_bounds : t -> int -> float -> float -> unit
 (** [set_bounds m v lb ub] overwrites the bounds of variable [v]. *)
@@ -84,13 +97,17 @@ val var_lb : t -> int -> float
 
 val var_ub : t -> int -> float
 
-val var_obj : t -> int -> float
-
 val is_integer : t -> int -> bool
 (** [true] for [Integer] and [Binary] variables. *)
 
 val constr : t -> int -> constr
-(** [constr m row] is the current body of constraint [row]. *)
+(** [constr m row] is the current body of constraint [row].  Rows are
+    stored packed, so each call builds the [Lin.t] afresh. *)
+
+val row : t -> int -> (int * float) array * sense * float
+(** [row m r] is constraint [r] read straight from the packed storage:
+    its terms as [(var, coef)] pairs in increasing variable order (those
+    of [Lin.terms (constr m r).c_expr]), its sense and its rhs. *)
 
 type watermark
 (** A point-in-time marker over a model's variable and constraint

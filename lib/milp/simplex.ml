@@ -28,14 +28,14 @@ let of_model m =
   let sign = match dir with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   let obj = Array.make n 0. in
   Lin.iter (fun v c -> if v < n then obj.(v) <- sign *. c) obj_expr;
-  let cons = Model.constrs m in
-  let rows =
-    Array.map
-      (fun (c : Model.constr) -> Array.of_list (Lin.terms c.Model.c_expr))
-      cons
-  in
-  let senses = Array.map (fun (c : Model.constr) -> c.Model.c_sense) cons in
-  let rhs = Array.map (fun (c : Model.constr) -> c.Model.c_rhs) cons in
+  let nr = Model.nconstrs m in
+  let rows = Array.make nr [||] and senses = Array.make nr Model.Le and rhs = Array.make nr 0. in
+  for r = 0 to nr - 1 do
+    let terms, sense, b = Model.row m r in
+    rows.(r) <- terms;
+    senses.(r) <- sense;
+    rhs.(r) <- b
+  done;
   { ncols = n; rows; senses; rhs; obj; obj_const = sign *. Lin.constant obj_expr }
 
 (* Nonbasic variable status.  Basic variables are tracked via [basis].
@@ -220,9 +220,14 @@ let nb_value st j =
   | Basic -> invalid_arg "nb_value: basic"
 
 (* Factorize the basis matrix whose column at position [i] is CSC
-   column [basis.(i)].  Each column is materialized as a tuple array —
-   only for this (rare) call; the per-iteration loops read the CSC
-   buffers directly. *)
+   column [basis.(i)].  Each column is materialized as a tuple array
+   for [Lu.factorize]; the per-iteration loops read the CSC buffers
+   directly.  This is not a rare call: it runs mostly when the eta file
+   reaches [eta_limit], 1,242 times in a one-pass perfbench
+   [tactical-root] run and 4,153 times in a [table1-tree] one, and
+   factorization is the largest single cost of those LPs (DESIGN §5f).
+   Warm restores do not add to it: none of the 6,574 restores of that
+   [tactical-root] run found its snapshot past [refresh_age]. *)
 let factor_basis ~m colp coli colv basis =
   Lu.factorize ~m (fun i ->
       let j = basis.(i) in
@@ -1312,7 +1317,7 @@ let solve_model ?max_iterations m =
   let n = p.ncols in
   let lb = Array.init n (Model.var_lb m) and ub = Array.init n (Model.var_ub m) in
   let r = solve ?max_iterations p ~lb ~ub in
-  match fst (Model.objective m) with
+  match Model.direction m with
   | Model.Minimize -> r
   | Model.Maximize ->
       let objective =

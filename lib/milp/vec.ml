@@ -30,6 +30,8 @@ let add_last v x =
 
 let to_array v = Array.sub v.data 0 v.len
 
+let trim v = if Array.length v.data > v.len then v.data <- Array.sub v.data 0 v.len
+
 let of_array a = { data = Array.copy a; len = Array.length a }
 
 let iteri f v =
@@ -87,6 +89,8 @@ module Float = struct
   let clear v = v.len <- 0
 
   let to_array v = Array.init v.len (FA.get v.data)
+
+  let trim v = if FA.length v.data > v.len then v.data <- FA.sub v.data 0 v.len
 
   let of_array a =
     let len = Array.length a in

@@ -16,6 +16,9 @@ val add_last : 'a t -> 'a -> unit
 
 val to_array : 'a t -> 'a array
 
+val trim : 'a t -> unit
+(** Release the spare capacity; later appends grow it again. *)
+
 val of_array : 'a array -> 'a t
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
@@ -48,6 +51,8 @@ module Float : sig
   (** Reset the length to zero, keeping capacity for reuse. *)
 
   val to_array : t -> float array
+
+  val trim : t -> unit
 
   val of_array : float array -> t
 

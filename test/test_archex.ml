@@ -654,6 +654,46 @@ let test_session_grow_monotone () =
         (s4.Solution.dollar_cost <= s1.Solution.dollar_cost +. 1e-6)
   | _ -> Alcotest.fail "both steps should solve"
 
+let table1_energy dc_seed =
+  match
+    Scenarios.data_collection ~objective:Objective.energy
+      { Scenario.test_data_collection_params with Scenarios.dc_seed }
+  with
+  | Ok inst -> inst
+  | Error e -> Alcotest.fail e
+
+let sequential_at k = Solver_config.(default |> with_approx ~kstar:k () |> with_workers 1)
+
+(* A kept outcome is what [Kstar.search], the daemon's session cache and
+   any caller holding results pay for: the packed model and no carried
+   cut pool. *)
+let test_session_outcome_is_small () =
+  let inst = table1_energy 5 in
+  match Session.create (sequential_at 4) inst with
+  | Error e -> Alcotest.fail e
+  | Ok session ->
+      let o = Session.solve session in
+      let words x = Obj.reachable_words (Obj.repr x) in
+      let net = words (o, inst) - words inst in
+      Alcotest.(check bool) (Printf.sprintf "outcome holds %d words net of its instance" net) true
+        (net <= 10_000)
+
+(* The session keeps the carry-out cuts for its next solve even though
+   no outcome returns them. *)
+let test_session_carries_cuts () =
+  match Session.create (sequential_at 3) (table1_energy 1) with
+  | Error e -> Alcotest.fail e
+  | Ok session ->
+      let o3 = Session.solve session in
+      (match Session.grow session ~kstar:4 with Ok () -> () | Error e -> Alcotest.fail e);
+      let o4 = Session.solve session in
+      List.iter
+        (fun (o : Outcome.t) ->
+          Alcotest.(check int) "outcome carries no cuts" 0
+            (List.length o.Outcome.mip.Milp.Branch_bound.carry_cuts))
+        [ o3; o4 ];
+      Alcotest.(check int) "carried cuts seeded at K*=4" 4 o4.Outcome.mip.Milp.Branch_bound.cuts_seeded
+
 (* ------------------------------------------------------------------ *)
 (* Encoding internals                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1406,6 +1446,8 @@ let () =
           Alcotest.test_case "schedule exhausted" `Quick test_kstar_schedule_exhausted;
           Alcotest.test_case "infeasible steps neutral" `Quick test_kstar_infeasible_steps_neutral;
           Alcotest.test_case "session grows monotonically" `Quick test_session_grow_monotone;
+          Alcotest.test_case "kept outcome is small" `Quick test_session_outcome_is_small;
+          Alcotest.test_case "session carries cuts, outcomes do not" `Quick test_session_carries_cuts;
         ] );
       ( "encode_common",
         [

@@ -76,7 +76,10 @@ let test_model_bad_bounds () =
   let m = Model.create () in
   Alcotest.check_raises "lb > ub rejected"
     (Invalid_argument "Model.add_var \"x\": lb (2) > ub (1)") (fun () ->
-      ignore (Model.add_var m ~lb:2. ~ub:1. "x"))
+      ignore (Model.add_var m ~lb:2. ~ub:1. "x"));
+  Alcotest.check_raises "objective on an unknown variable rejected"
+    (Invalid_argument "Model.set_objective: variable 0 out of range") (fun () ->
+      Model.set_objective m Model.Minimize (Lin.var 0))
 
 let test_model_constr_folds_constant () =
   let m = Model.create () in
@@ -1209,6 +1212,64 @@ let test_model_add_range () =
   Model.set_objective m Model.Minimize (Lin.var x);
   check_feq "lower" 2. (Simplex.solve_model m).Simplex.objective
 
+(* Rows are stored packed: whatever sequence of [add_row], [set_row] and
+   [compact] built a model, [constr] must give back each row's last
+   expression (constant folded into the rhs), sense, rhs and name, and
+   [row] the same terms in variable order. *)
+let prop_model_rows_round_trip =
+  let open QCheck2.Gen in
+  let expr =
+    map2
+      (fun terms c -> Lin.add_const (Lin.of_list terms) c)
+      (list_size (int_range 0 5) (tup2 (float_range (-5.) 5.) (int_range 0 7)))
+      (oneofl [ 0.; 1.5; -2. ])
+  in
+  let sense = oneofl [ Model.Le; Model.Ge; Model.Eq ] in
+  let step =
+    oneof
+      [
+        map3 (fun e s b -> `Add (e, s, b)) expr sense (float_range (-9.) 9.);
+        map3 (fun (r, e) s b -> `Set (r, e, s, b)) (tup2 nat expr) sense (float_range (-9.) 9.);
+        return `Compact;
+      ]
+  in
+  QCheck2.Test.make ~name:"model: rows read back after add_row, set_row and compact" ~count:200
+    (list_size (int_range 1 12) step) (fun steps ->
+      let m = Model.create () in
+      for v = 0 to 7 do
+        ignore (Model.add_var m (Printf.sprintf "v%d" v))
+      done;
+      let expected = ref [||] in
+      List.iter
+        (function
+          | `Add (e, s, b) ->
+              let name = if Array.length !expected mod 2 = 0 then None else Some "named" in
+              let r = Model.add_row m ?name e s b in
+              expected := Array.append !expected [| (e, s, b) |];
+              assert (r = Array.length !expected - 1)
+          | `Set (r, e, s, b) ->
+              let n = Array.length !expected in
+              if n > 0 then begin
+                Model.set_row m (r mod n) e s b;
+                !expected.(r mod n) <- (e, s, b)
+              end
+          | `Compact -> Model.compact m)
+        steps;
+      Model.nconstrs m = Array.length !expected
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun r (e, s, b) ->
+                let c = Model.constr m r in
+                let terms, s', b' = Model.row m r in
+                let folded = Lin.add_const e (-.Lin.constant e) in
+                Lin.equal c.Model.c_expr folded
+                && c.Model.c_sense = s
+                && c.Model.c_rhs = b -. Lin.constant e
+                && c.Model.c_name = (if r mod 2 = 0 then "c" ^ string_of_int r else "named")
+                && Array.to_list terms = Lin.terms folded
+                && s' = s && b' = c.Model.c_rhs)
+              !expected))
+
 let prop_lin_add_commutative =
   QCheck2.Test.make ~name:"lin: addition commutative and associative" ~count:200
     QCheck2.Gen.(
@@ -1272,6 +1333,52 @@ let test_lp_format_free_and_inf () =
   let s = Lp_format.to_string m in
   Alcotest.(check bool) "free variable emitted" true (Astring.String.is_infix ~affix:"free" s)
 
+
+(* A fixed model with named and unnamed rows, a rewritten row, a range,
+   every variable kind, a free and a negative-bounded variable, and an
+   objective with a constant that [add_var ~obj] extends after
+   [set_objective]. *)
+let lp_fixture () =
+  let m = Model.create ~name:"fixture" () in
+  let x = Model.add_var m ~lb:(-1.) ~ub:2.5 "x" in
+  let k = Model.add_var m ~kind:Model.Integer ~ub:9. "k count" in
+  let b = Model.add_binary m "b" in
+  let f = Model.add_var m ~lb:neg_infinity ~ub:infinity "f" in
+  Model.add_constr m ~name:"cap" (Lin.of_list [ (1., x); (3., k); (-0.25, b) ]) Model.Le 10.;
+  let r = Model.add_row m (Lin.add_const (Lin.of_list [ (2., x); (-1., f) ]) 1.) Model.Ge (-3.) in
+  Model.add_constr m (Lin.of_list [ (1., b); (1., k) ]) Model.Eq 1.;
+  Model.add_range m 0.5 (Lin.of_list [ (1., f); (1e-7, x) ]) 4.;
+  Model.set_row m r (Lin.add_const (Lin.of_list [ (2., x); (-1., f); (7., b) ]) 2.) Model.Le 3.;
+  Model.set_objective m Model.Maximize (Lin.add_const (Lin.of_list [ (3., x); (2., k); (-1., b) ]) 1.5);
+  let y = Model.add_var m ~obj:(-4.) ~ub:1. "y" in
+  Model.add_constr m ~name:"link" (Lin.of_list [ (1., y); (-1., x) ]) Model.Le 0.;
+  m
+
+let test_lp_format_fixed_output () =
+  let expected =
+    {|Maximize
+ obj: 3 x_0 + 2 k_count_1 - b_2 - 4 y_4 + 1.5
+Subject To
+ cap_0: x_0 + 3 k_count_1 - 0.25 b_2 <= 10
+ c1_1: 2 x_0 + 7 b_2 - f_3 <= 1
+ c2_2: k_count_1 + b_2 = 1
+ r3_lo_3: 1e-07 x_0 + f_3 >= 0.5
+ r3_hi_4: 1e-07 x_0 + f_3 <= 4
+ link_5: - x_0 + y_4 <= 0
+Bounds
+ -1 <= x_0 <= 2.5
+ 0 <= k_count_1 <= 9
+ 0 <= b_2 <= 1
+ f_3 free
+ 0 <= y_4 <= 1
+Generals
+ k_count_1
+Binaries
+ b_2
+End
+|}
+  in
+  Alcotest.(check string) "byte-equal LP text" expected (Lp_format.to_string (lp_fixture ()))
 
 let test_lp_reader_simple () =
   let text =
@@ -1638,36 +1745,43 @@ let close_to ?(eps = 1e-9) y z =
   Array.iteri (fun i v -> if Float.abs (v -. z.(i)) > eps *. !scale then ok := false) y;
   !ok
 
+(* Factorize [cols] with the sparse kernel and the dense reference:
+   [`Both_singular] when both refuse, [`Agree] when both succeed and
+   FTRAN/BTRAN of [rhs] match the dense inverse to 1e-9, [`Disagree]
+   otherwise. *)
+let lu_vs_dense m cols rhs =
+  match (Lu.factorize ~m (fun j -> cols.(j)), dense_inverse (dense_of_cols m cols)) with
+  | None, None -> `Both_singular
+  | None, Some _ | Some _, None -> `Disagree
+  | Some lu, Some ia ->
+      let ft = Array.copy rhs in
+      Lu.ftran lu ft;
+      let ft_ref =
+        Array.init m (fun p ->
+            let s = ref 0. in
+            for r = 0 to m - 1 do
+              s := !s +. (ia.(p).(r) *. rhs.(r))
+            done;
+            !s)
+      in
+      let bt = Array.copy rhs in
+      Lu.btran lu bt;
+      let bt_ref =
+        Array.init m (fun r ->
+            let s = ref 0. in
+            for p = 0 to m - 1 do
+              s := !s +. (ia.(p).(r) *. rhs.(p))
+            done;
+            !s)
+      in
+      if close_to ft ft_ref && close_to bt bt_ref then `Agree else `Disagree
+
 let prop_lu_matches_dense_reference =
   QCheck2.Test.make ~name:"lu: ftran/btran agree with the dense inverse to 1e-9" ~count:300
     random_sparse_basis (fun spec ->
       let m, _, _, _, rhs = spec in
-      let cols = basis_cols spec in
-      let a = dense_of_cols m cols in
-      match (Lu.factorize ~m (fun j -> cols.(j)), dense_inverse a) with
-      | None, _ | _, None -> false (* dominant: both must succeed *)
-      | Some lu, Some ia ->
-          let ft = Array.copy rhs in
-          Lu.ftran lu ft;
-          let ft_ref =
-            Array.init m (fun p ->
-                let s = ref 0. in
-                for r = 0 to m - 1 do
-                  s := !s +. (ia.(p).(r) *. rhs.(r))
-                done;
-                !s)
-          in
-          let bt = Array.copy rhs in
-          Lu.btran lu bt;
-          let bt_ref =
-            Array.init m (fun r ->
-                let s = ref 0. in
-                for p = 0 to m - 1 do
-                  s := !s +. (ia.(p).(r) *. rhs.(p))
-                done;
-                !s)
-          in
-          close_to ft ft_ref && close_to bt bt_ref)
+      (* dominant: both must succeed *)
+      lu_vs_dense m (basis_cols spec) rhs = `Agree)
 
 let prop_lu_eta_update_matches_dense =
   QCheck2.Test.make ~name:"lu: eta update tracks a column replacement to 1e-9" ~count:300
@@ -1718,6 +1832,111 @@ let prop_lu_eta_update_matches_dense =
                       !acc)
                 in
                 close_to ft ft_ref && close_to bt bt_ref))
+
+(* A basis shaped like the simplex's, m in [20, 60]: 30–70% unit slack
+   columns on distinct rows, the rest structural columns with 2–8
+   entries over random rows (sometimes one more: a repeated row or a
+   small entry), in shuffled positions.  Unlike
+   [random_sparse_basis] it reaches the kernel's harder paths:
+   - rows shared by several structural columns leave a nucleus with no
+     singleton, whose elimination needs fill;
+   - a small entry (under a tenth of its column's largest) fails the
+     pivot threshold;
+   - a repeated row within a column is summed on assembly;
+   - a near-copy of an earlier structural column (one row moved) makes
+     elimination cancel entries down to the drop tolerance.
+   One basis in eight is made exactly singular on purpose: a duplicate
+   column, or a column whose repeated entries sum to nothing.  The
+   small-integer values make about as many more singular by accident. *)
+let simplex_like_basis st =
+  let int n = Random.State.int st n and bool () = Random.State.bool st in
+  let m = 20 + int 41 in
+  let signed v = if bool () then v else -.v in
+  let value () =
+    signed
+      (match int 4 with 0 -> 1. | 1 -> 2. | 2 -> 0.5 | _ -> 0.5 +. Random.State.float st 2.5)
+  in
+  let rows = Array.init m Fun.id in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done
+  in
+  shuffle rows;
+  let nslack = m * (30 + int 41) / 100 in
+  let prev = ref [||] in
+  let cols =
+    Array.init m (fun j ->
+        (* Column j owns row [rows.(j)], so the nonzero pattern always
+           holds a transversal. *)
+        let home = rows.(j) in
+        if j < nslack then [| (home, signed 1.) |]
+        else if Array.length !prev > 0 && int 4 = 0 then begin
+          let c = Array.copy !prev in
+          let k = int (Array.length c) in
+          c.(k) <- (home, snd c.(k));
+          c
+        end
+        else begin
+          let others = List.init (1 + int 7) (fun _ -> (int m, value ())) in
+          let dup = if int 3 = 0 then [ (fst (List.hd others), value ()) ] else [] in
+          let small = if int 3 = 0 then [ (int m, signed (0.01 +. Random.State.float st 0.08)) ] else [] in
+          let c = Array.of_list (((home, value ()) :: others) @ dup @ small) in
+          prev := c;
+          c
+        end)
+  in
+  shuffle cols;
+  (if int 8 = 0 then
+     let a = int m in
+     if bool () then cols.(a) <- Array.copy cols.((a + 1 + int (m - 1)) mod m)
+     else
+       let r = int m and v = value () in
+       cols.(a) <- [| (r, v); (r, -.v) |]);
+  let rhs = Array.init m (fun _ -> Random.State.float st 10. -. 5.) in
+  (m, cols, rhs)
+
+let prop_lu_simplex_like_matches_dense =
+  QCheck2.Test.make ~name:"lu: simplex-shaped bases agree with the dense inverse to 1e-9"
+    ~count:300
+    (QCheck2.Gen.make_primitive ~gen:simplex_like_basis ~shrink:(fun _ -> Seq.empty))
+    (fun (m, cols, rhs) -> lu_vs_dense m cols rhs <> `Disagree)
+
+(* Bit-identity guard: any change to the pivot order, the elimination
+   arithmetic or the entry order of the factors moves this digest.  It
+   covers 200 fixed-seed simplex-shaped bases, singular ones included
+   (as a marker), through FTRAN and BTRAN of two fixed vectors. *)
+let test_lu_bit_identical_digest () =
+  let st = Random.State.make [| 20261017 |] in
+  let buf = Buffer.create (1 lsl 16) in
+  let add_vec x = Array.iter (fun v -> Buffer.add_int64_le buf (Int64.bits_of_float v)) x in
+  let singular = ref 0 in
+  for _ = 1 to 200 do
+    let m, cols, _ = simplex_like_basis st in
+    match Lu.factorize ~m (fun j -> cols.(j)) with
+    | None ->
+        incr singular;
+        Buffer.add_string buf "none"
+    | Some lu ->
+        let ones = Array.make m 1. in
+        let ramp = Array.init m (fun i -> float_of_int ((i * 7 mod 11) - 5) /. 3.) in
+        List.iter
+          (fun solve ->
+            List.iter
+              (fun v ->
+                let x = Array.copy v in
+                solve lu x;
+                add_vec x)
+              [ ones; ramp ])
+          [ Lu.ftran; Lu.btran ]
+  done;
+  Alcotest.(check bool) "the family has singular and regular members" true
+    (!singular > 0 && !singular < 200);
+  Alcotest.(check string) "digest of every solve's bits" "bf5a9862d87e446a47ee7e8fa907aa6c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_lu_rejects_singular () =
   (* Exactly singular and near-singular bases must be refused by both
@@ -1930,6 +2149,7 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_model_constr_folds_constant;
           Alcotest.test_case "check_feasible" `Quick test_model_check_feasible;
           Alcotest.test_case "add_range" `Quick test_model_add_range;
+          qt prop_model_rows_round_trip;
         ] );
       ( "simplex",
         [
@@ -2004,6 +2224,7 @@ let () =
         [
           Alcotest.test_case "sections and sanitization" `Quick test_lp_format_sections;
           Alcotest.test_case "free variables" `Quick test_lp_format_free_and_inf;
+          Alcotest.test_case "fixed model output" `Quick test_lp_format_fixed_output;
           Alcotest.test_case "reader: simple" `Quick test_lp_reader_simple;
           Alcotest.test_case "reader: features" `Quick test_lp_reader_features;
           Alcotest.test_case "reader: errors" `Quick test_lp_reader_errors;
@@ -2027,6 +2248,9 @@ let () =
             test_append_rows_bit_identical;
           qt prop_lu_matches_dense_reference;
           qt prop_lu_eta_update_matches_dense;
+          qt prop_lu_simplex_like_matches_dense;
+          Alcotest.test_case "factorize is bit-identical on a fixed basis family" `Quick
+            test_lu_bit_identical_digest;
         ] );
       ( "kernel2",
         [
