@@ -49,8 +49,7 @@ type t = {
 
 let approx ?(kstar = 10) ?(loc_kstar = 20) () = Approx { kstar; loc_kstar }
 
-(* The kernel/presolve groups carved out of a full options record, so
-   [with_options] keeps its historical "replace everything" meaning. *)
+(* The kernel group carved out of a full options record. *)
 let kernel_of_options (o : BB.options) =
   {
     k_warm_start = o.BB.warm_start;
@@ -132,19 +131,6 @@ let with_parallelism parallel c =
   { c with parallel }
 
 let with_heuristic heuristic c = { c with heuristic }
-
-let with_options options c =
-  {
-    c with
-    options;
-    kernel = kernel_of_options options;
-    presolve =
-      {
-        c.presolve with
-        ps_enabled = options.BB.presolve;
-        ps_passes = options.BB.presolve_passes;
-      };
-  }
 
 let with_interrupt interrupt c = { c with interrupt = Some interrupt }
 

@@ -160,11 +160,6 @@ val with_heuristic : heuristic -> t -> t
     [with_heuristic (tabu ~time_s:2. ())] or
     [with_heuristic no_heuristic]. *)
 
-val with_options : Milp.Branch_bound.options -> t -> t
-(** Replace the raw options record wholesale; the {!kernel} and
-    {!presolve} groups are re-synchronised from its fields so the
-    historical "replace everything" meaning is preserved. *)
-
 val with_time_limit : float -> t -> t
 
 val with_node_limit : int -> t -> t

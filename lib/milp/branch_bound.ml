@@ -63,18 +63,15 @@ type result = {
   lp_fallback : int;
   cuts_separated : int;
   cuts_applied : int;
-  cuts_evicted : int;
   cuts_seeded : int;
   carry_cuts : Cuts.cut list;
   bound_pruned : int;
   rc_fixed : int;
   root_lp_bound : float;
   root_cut_bound : float;
-  presolve_time_s : float;
   presolve_rows_removed : int;
   presolve_cols_removed : int;
   presolve_reapplied : bool;
-  presolve_stats : Presolve.pass_stats list;
   elapsed : float;
 }
 
@@ -308,12 +305,10 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
   (* Root LP objective before and after the cut loop (min form). *)
   let root_lp_bound = ref nan in
   let root_cut_bound = ref nan in
-  let presolve_time = ref 0. in
   let ps_reapplied = ref false in
-  let ps_stats = ref [] in
   let post_ref = ref (Postsolve.identity ~ncols:nfull ~nrows:mfull) in
   let finish status ~objective ~bound ~solution t =
-    let separated, applied, evicted = Cuts.stats pool in
+    let separated, applied = Cuts.stats pool in
     let post = !post_ref in
     {
       status;
@@ -327,7 +322,6 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       lp_fallback = t.t_fallback;
       cuts_separated = separated;
       cuts_applied = applied;
-      cuts_evicted = evicted;
       cuts_seeded = !cuts_seeded;
       carry_cuts =
         List.map (Cuts.lift post) (List.rev_append !applied_cuts (Cuts.members pool));
@@ -335,11 +329,9 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       rc_fixed = t.t_rc;
       root_lp_bound = sign *. !root_lp_bound;
       root_cut_bound = sign *. !root_cut_bound;
-      presolve_time_s = !presolve_time;
       presolve_rows_removed = mfull - Array.length !post_ref.Postsolve.row_of_red;
       presolve_cols_removed = nfull - Array.length !post_ref.Postsolve.col_of_red;
       presolve_reapplied = !ps_reapplied;
-      presolve_stats = !ps_stats;
       elapsed = Clock.now () -. t0;
     }
   in
@@ -360,7 +352,6 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
      disabled.  In an incremental session the previous solve's trace is
      re-applied against the row delta instead of presolving the template
      from scratch. *)
-  let ps_t0 = Clock.now () in
   let reduced =
     if options.presolve then begin
       let reuse =
@@ -403,7 +394,6 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
           red_reapplied = false;
         }
   in
-  presolve_time := Clock.now () -. ps_t0;
   (match presolve_state with
   | Some st when options.presolve -> (
       match reduced with
@@ -422,7 +412,6 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       let post = red.Presolve.red_post in
       post_ref := post;
       ps_reapplied := red.Presolve.red_reapplied;
-      ps_stats := red.Presolve.red_stats;
       let m0 = Array.length p0.Simplex.rows in
       (* Working problem: the base rows plus every applied cut.  Cut
          rows are only ever appended, never removed, so a basis

@@ -10,7 +10,8 @@
     bound change — is re-solved by a few dual simplex pivots instead of
     a cold two-phase solve.  The diving heuristic threads the basis
     through its fix-and-resolve loop the same way.  Disable with
-    [warm_start = false] (the [--cold-start] bench ablation).
+    [warm_start = false] (the [archex --cold-start] flag; [bench/smoke.exe]
+    runs a cold variant).
 
     Cutting planes ride the same machinery ({!Cuts}): the root LP is
     tightened by rounds of Gomory mixed-integer and knapsack cover cuts
@@ -21,8 +22,8 @@
     simplex repair, not a cold solve.  Once an incumbent exists,
     reduced-cost fixing pins integer variables whose reduced cost proves
     they cannot leave their bound in an improving solution.  Disable
-    with [cut_families = []] / [rc_fixing = false] (the [--cuts none] /
-    [--no-rc-fixing] bench ablations); [cuts = false] also skips the
+    with [cut_families = []] / [rc_fixing = false] (the [archex --cuts none]
+    / [--no-rc-fixing] flags); [cuts = false] also skips the
     root cut loop itself. *)
 
 type options = {
@@ -35,7 +36,7 @@ type options = {
       (** Run the root reduction stack ({!Presolve.reduce}) and solve
           the reduced problem, postsolving incumbents back before
           reporting (default [true]); [false] solves the model verbatim
-          — the [--no-presolve] ablation baseline. *)
+          — the [--no-presolve] flag of [archex] and [bench/smoke.exe]. *)
   presolve_passes : Presolve.pass list;
       (** Which reduction passes run (default {!Presolve.all_passes});
           ignored when [presolve = false]. *)
@@ -48,7 +49,7 @@ type options = {
   warm_start : bool;
       (** Re-solve node LPs from the parent's optimal basis via dual
           simplex (default [true]); [false] forces cold two-phase
-          solves everywhere — the ablation baseline. *)
+          solves everywhere — the [archex --cold-start] flag. *)
   cuts : bool;
       (** Run the root cut loop and node separation at all (default
           [true]).  Solver configs above this library leave it on and
@@ -60,7 +61,8 @@ type options = {
           caller-supplied structural [separators] (gated by
           {!Cuts.F_power}), in a root cut loop plus periodic
           cover/clique separation at shallow nodes.  The per-family
-          ablation axis ([--cuts gmi,cover,...]); [[]] turns cutting
+          ablation axis ([archex --cuts gmi,cover,...], swept by
+          [bench/cuts_smoke.exe]); [[]] turns cutting
           planes off. *)
   cut_rounds : int;  (** Root cut-loop round budget (default 20). *)
   max_applied_cuts : int;
@@ -82,11 +84,12 @@ type options = {
   pricing : Simplex.pricing;
       (** Entering-column rule for every LP (default [Devex]);
           [Dantzig] restores the PR5 partial candidate-list scan — the
-          [--pricing dantzig] ablation baseline. *)
+          [--pricing dantzig] flag of [archex] and [bench/smoke.exe]. *)
   harris : bool;
       (** Harris two-pass primal ratio test plus bound-flipping dual
           ratio test (default [true]); [false] restores the classic
-          smallest-ratio tests — the [--no-harris] ablation baseline. *)
+          smallest-ratio tests — the [--no-harris] flag of [archex] and
+          [bench/smoke.exe]. *)
   log : bool;  (** Print a progress line every ~500 nodes via [Logs]. *)
   nworkers : int;
       (** Worker domains for the tree search (default [1]).  With
@@ -129,7 +132,6 @@ type result = {
   lp_fallback : int;  (** Warm attempts that fell back to a cold solve. *)
   cuts_separated : int;  (** Cuts accepted into the pool. *)
   cuts_applied : int;  (** Cuts promoted to problem rows. *)
-  cuts_evicted : int;  (** Pool members aged or crowded out. *)
   cuts_seeded : int;
       (** Carried-in cuts that re-certified against this model and
           entered the pool (see [seed_cuts] on {!solve}). *)
@@ -150,14 +152,11 @@ type result = {
       (** Root objective after the cut loop; with [root_lp_bound] and
           the final incumbent this yields the root gap closed.  [nan]
           when cuts are off or the root LP failed. *)
-  presolve_time_s : float;  (** Wall-clock seconds spent in the root reduction. *)
   presolve_rows_removed : int;  (** Rows of the model absent from the reduced problem. *)
   presolve_cols_removed : int;  (** Columns eliminated by the reduction. *)
   presolve_reapplied : bool;
       (** [true] when a template trace seeded the reduction instead of a
           from-scratch propagation (see [presolve_state] on {!solve}). *)
-  presolve_stats : Presolve.pass_stats list;
-      (** Per-pass removal/change counts, one entry per enabled pass. *)
   elapsed : float;  (** Wall-clock seconds. *)
 }
 

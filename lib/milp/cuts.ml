@@ -390,13 +390,12 @@ type pool = {
   mutable members : entry list;
   mutable separated : int;
   mutable applied : int;
-  mutable evicted : int;
   max_age : int;
   max_size : int;
 }
 
 let create_pool ?(max_age = 5) ?(max_size = 500) () =
-  { members = []; separated = 0; applied = 0; evicted = 0; max_age; max_size }
+  { members = []; separated = 0; applied = 0; max_age; max_size }
 
 (* Cosine of two unit-norm sparse rows (both sorted by variable). *)
 let cosine a b =
@@ -431,8 +430,7 @@ let add pool c ~x =
     (match !parallel with
     | Some e ->
         (* The pooled near-parallel row is strictly weaker: replace. *)
-        pool.members <- List.filter (fun e' -> e' != e) pool.members;
-        pool.evicted <- pool.evicted + 1
+        pool.members <- List.filter (fun e' -> e' != e) pool.members
     | None -> ());
     pool.members <- { e_cut = c; e_age = 0 } :: pool.members;
     pool.separated <- pool.separated + 1;
@@ -480,14 +478,13 @@ let select pool ~x ~max_cuts ~min_violation =
   let violated = List.sort (fun (a, _) (b, _) -> compare (b : float) a) violated in
   let taken, kept_violated = fair_take violated max_cuts in
   List.iter (fun (_, e) -> e.e_age <- 0) kept_violated;
-  let stale, fresh =
-    List.partition
+  let fresh =
+    List.filter
       (fun (_, e) ->
         e.e_age <- e.e_age + 1;
-        e.e_age > pool.max_age)
+        e.e_age <= pool.max_age)
       rest
   in
-  pool.evicted <- pool.evicted + List.length stale;
   pool.applied <- pool.applied + List.length taken;
   let remaining = List.map snd (kept_violated @ fresh) in
   (* Size cap: drop the least violated overflow. *)
@@ -499,15 +496,13 @@ let select pool ~x ~max_cuts ~min_violation =
           (fun a b -> compare (violation b.e_cut x) (violation a.e_cut x))
           remaining
       in
-      let keep = List.filteri (fun i _ -> i < pool.max_size) sorted in
-      pool.evicted <- pool.evicted + (List.length sorted - pool.max_size);
-      keep
+      List.filteri (fun i _ -> i < pool.max_size) sorted
     end
   in
   pool.members <- remaining;
   List.map (fun (_, e) -> e.e_cut) taken
 
-let stats pool = (pool.separated, pool.applied, pool.evicted)
+let stats pool = (pool.separated, pool.applied)
 
 let members pool = List.map (fun e -> e.e_cut) pool.members
 

@@ -147,8 +147,8 @@ val select : pool -> x:float array -> max_cuts:int -> min_violation:float -> cut
     Members not violated this round age by one and are evicted past
     [max_age]; violated-but-unselected members stay young. *)
 
-val stats : pool -> int * int * int
-(** [(separated, applied, evicted)] counters over the pool's life. *)
+val stats : pool -> int * int
+(** [(separated, applied)] counters over the pool's life. *)
 
 val members : pool -> cut list
 (** Snapshot of the cuts currently pooled (for carrying across solves). *)

@@ -70,8 +70,8 @@ type stats = {
 }
 
 (* Off by default: the nonzero census is an extra O(m) scan per solve,
-   so only the bench turns it on.  Atomics because PR 4's workers share
-   nothing but these counters. *)
+   so only perfbench turns it on.  Atomics because the tree-search
+   workers share nothing but these counters. *)
 let counting = Atomic.make false
 let c_ftran = Atomic.make 0
 let c_ftran_nnz = Atomic.make 0

@@ -105,7 +105,7 @@ type stats = {
 
 val set_stats_enabled : bool -> unit
 (** Off by default — the per-solve nonzero census costs an extra O(m)
-    scan, so only the bench harness turns it on. *)
+    scan, so only perfbench turns it on. *)
 
 val stats : unit -> stats
 

@@ -67,8 +67,6 @@ let logf t fmt =
 
 let workers t = t.d_workers
 
-let cache_stats t = Session_cache.stats t.d_cache
-
 let request_shutdown t = Atomic.set t.d_stop true
 
 let create config =

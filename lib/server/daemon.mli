@@ -62,9 +62,6 @@ val create : config -> (t, string) result
 val workers : t -> int
 (** The resolved pool size (after [0] auto-detection). *)
 
-val cache_stats : t -> int * int
-(** Session-cache [(hits, misses)] since startup. *)
-
 val request_shutdown : t -> unit
 (** Flag the daemon to drain and stop.  Async-signal-safe. *)
 

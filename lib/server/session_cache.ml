@@ -8,7 +8,7 @@
    the front of the LRU order.  Eviction only considers idle entries;
    a checked-out value is never dropped under its user.
 
-   [capacity = 0] is the cold mode used by the bench baseline: every
+   [capacity = 0] is the cold mode ([archexd --cache 0]): every
    checkout builds a fresh value and checkin discards it. *)
 
 type ('k, 'v) entry = {

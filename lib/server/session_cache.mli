@@ -9,7 +9,7 @@
     the entry most-recently used.  Eviction drops the stalest idle
     entries only; checked-out values are pinned.
 
-    [capacity = 0] disables caching entirely (the bench cold baseline):
+    [capacity = 0] disables caching entirely ([archexd --cache 0]):
     every checkout builds fresh, checkin discards. *)
 
 type ('k, 'v) t

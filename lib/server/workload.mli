@@ -5,7 +5,7 @@
     The registry always holds the Table-1 catalogue: [dc-dollar],
     [dc-energy], [dc-mixed] (bench scale) and [dc-small-dollar],
     [dc-small-energy], [dc-small-mixed] (the parallel-regression test
-    scale used by CI smoke and the throughput bench).  Daemons that
+    scale used by CI smoke and the daemon tests).  Daemons that
     register more scenarios (e.g. via [Scenario_gen.register_defaults])
     serve them by name with no server changes.  The workload name
     doubles as the daemon's session-cache key. *)

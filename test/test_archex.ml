@@ -1317,7 +1317,7 @@ let test_presolve_node_count_regression () =
      that intends the change.  The reduced tree happens to be larger on
      this instance (strengthened rows reshape the LP bounds and the
      branching order) while winning back far more per node; wall-time
-     and sweep-level wins are measured in bench/BENCH_PR7.json. *)
+     and sweep-level wins are archived in BENCH_PR7.json. *)
   match Scenarios.data_collection ~objective:Objective.energy par_test_params with
   | Error e -> Alcotest.fail e
   | Ok inst ->
