@@ -20,7 +20,7 @@ let run_config fams inst =
       default
       |> with_approx ~kstar:4 ()
       |> with_time_limit 60. |> with_rel_gap 1e-6
-      |> with_kernel { default.kernel with k_cut_families = fams })
+      |> with_options (fun o -> { o with cut_families = fams }))
   in
   Solve.run cfg inst
 

@@ -78,16 +78,16 @@ let config ~time_limit ~rel_gap strategy =
     |> with_strategy strategy
     |> with_time_limit time_limit
     |> with_rel_gap rel_gap
-    |> with_kernel
-         {
-           default.kernel with
-           k_cut_families = !cut_families;
-           k_pricing = !pricing;
-           k_harris = !harris;
-         }
-    |> with_presolving { default.presolve with ps_enabled = !presolve }
-    |> with_parallelism
-         { default.parallel with par_workers = !nworkers; par_seed = !seed })
+    |> with_options (fun o ->
+           {
+             o with
+             cut_families = !cut_families;
+             pricing = !pricing;
+             harris = !harris;
+             presolve = !presolve;
+             nworkers = !nworkers;
+             seed = !seed;
+           }))
 
 let hr () = Format.printf "@."
 

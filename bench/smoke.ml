@@ -46,7 +46,12 @@ let alloc_guard =
   in
   find (Array.to_list Sys.argv)
 
+(* Flush the minor heap first: OCaml 5's [Gc.quick_stat] only counts
+   minor words up to the last minor collection, so an unflushed reading
+   moves with where collections happen to fall, not with what the solve
+   allocates. *)
 let alloc_words () =
+  Gc.minor ();
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
@@ -59,21 +64,20 @@ let () =
       let run ?(presolve = presolve) ~warm_start ~cuts ~rc_fixing () =
         let config =
           Solver_config.(
-            let k = default.kernel in
             default
             |> with_approx ~kstar:4 ()
             |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_kernel
-                 {
-                   k with
-                   k_warm_start = warm_start;
-                   k_cut_families = (if cuts then k.k_cut_families else []);
-                   k_rc_fixing = rc_fixing;
-                   k_pricing = pricing;
-                   k_harris = harris;
-                 }
-            |> with_presolving { default.presolve with ps_enabled = presolve }
-            |> with_workers workers)
+            |> with_options (fun o ->
+                   {
+                     o with
+                     warm_start;
+                     cut_families = (if cuts then o.cut_families else []);
+                     rc_fixing;
+                     pricing;
+                     harris;
+                     presolve;
+                     nworkers = workers;
+                   }))
         in
         Solve.run config inst
       in

@@ -64,6 +64,41 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
     [ Sys.sigint; Sys.sigterm ];
   let ( let* ) = Result.bind in
   let result =
+    (* Every engine knob goes through [with_options]'s range checks
+       here, before any input is read; the strategy (which the spec's
+       settings may adjust) is set once the spec is elaborated. *)
+    let* config =
+      let open Archex.Solver_config in
+      match
+        default |> with_time_limit time_limit |> with_rel_gap gap
+        |> with_options (fun o ->
+               let ( |? ) v d = Option.value v ~default:d in
+               {
+                 o with
+                 warm_start = not cold_start;
+                 cut_families = cuts |? o.cut_families;
+                 max_applied_cuts = cut_max_applied |? o.max_applied_cuts;
+                 cut_max_age = cut_max_age |? o.cut_max_age;
+                 cut_pool_size = cut_pool_size |? o.cut_pool_size;
+                 cut_min_violation = cut_min_violation |? o.cut_min_violation;
+                 rc_fixing = not no_rc_fixing;
+                 pricing;
+                 harris = not no_harris;
+                 presolve = not no_presolve;
+                 presolve_passes = presolve_passes |? o.presolve_passes;
+                 log = verbose;
+                 nworkers = workers;
+                 seed;
+               })
+        |> (if heuristic then
+              with_heuristic
+                (tabu ~iters:tabu_iters ~time_s:tabu_time ~tenure:tabu_tenure ~seed:tabu_seed ())
+            else Fun.id)
+        |> with_interrupt interrupt
+      with
+      | config -> Ok config
+      | exception Invalid_argument e -> Error e
+    in
     let* ast = Spec.Parser.parse_file spec_file in
     let* library =
       match library_file with
@@ -108,8 +143,7 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
           ~requirements:elab.Spec.Elaborate.requirements
           ~objective:elab.Spec.Elaborate.objective ()
       in
-      (* One config for every driver entry point: strategy, solver
-         options and parallel knobs travel together. *)
+      (* The spec's settings override the --kstar/--loc-kstar defaults. *)
       let strategy =
         if full then Archex.Solver_config.Full_enum
         else
@@ -119,37 +153,7 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
               loc_kstar = int_of_float (num_setting settings "loc_kstar" (float_of_int loc_kstar));
             }
       in
-      let config =
-        let open Archex.Solver_config in
-        let k = default.kernel in
-        let ( |? ) v d = Option.value v ~default:d in
-        default |> with_strategy strategy |> with_time_limit time_limit |> with_rel_gap gap
-        |> with_kernel
-             {
-               k_warm_start = not cold_start;
-               k_cut_families = cuts |? k.k_cut_families;
-               k_max_applied_cuts = cut_max_applied |? k.k_max_applied_cuts;
-               k_cut_max_age = cut_max_age |? k.k_cut_max_age;
-               k_cut_pool_size = cut_pool_size |? k.k_cut_pool_size;
-               k_cut_min_violation = cut_min_violation |? k.k_cut_min_violation;
-               k_rc_fixing = not no_rc_fixing;
-               k_pricing = pricing;
-               k_harris = not no_harris;
-             }
-        |> with_presolving
-             {
-               default.presolve with
-               ps_enabled = not no_presolve;
-               ps_passes = presolve_passes |? default.presolve.ps_passes;
-             }
-        |> (if heuristic then
-              with_heuristic
-                (tabu ~iters:tabu_iters ~time_s:tabu_time ~tenure:tabu_tenure ~seed:tabu_seed ())
-            else Fun.id)
-        |> with_log verbose
-        |> with_parallelism { default.parallel with par_workers = workers; par_seed = seed }
-        |> with_interrupt interrupt
-      in
+      let config = Archex.Solver_config.with_strategy strategy config in
       let* out =
         if sweep then begin
           let r = Archex.Kstar.search config inst in

@@ -40,7 +40,7 @@ let config t = t.s_config
    limits, gaps, interrupt flags and streaming hooks).  Only knobs that
    leave the carried state valid may change: the encoding strategy
    kind and localization depth are structural, so a mismatch is a
-   caller bug.  A change to the presolve group is legal
+   caller bug.  A change to the presolve settings is legal
    but invalidates the recorded reduction trace: the watermark advances
    after every solve while the trace only advances on presolve-on
    template solves, so after e.g. an off->on toggle the stored trace no
@@ -195,14 +195,8 @@ let solve t =
       let options = { options with BB.cutoff } in
       (* Template presolve: with a watermark from the previous solve,
          hand Branch_bound the exact row delta so it replays the stored
-         reduction trace instead of propagating from scratch.  The
-         per-step ablation ([presolve_template = false]) never passes a
-         delta, so every solve reduces from scratch. *)
-      let touched_rows =
-        if t.s_config.Solver_config.presolve.Solver_config.ps_template then
-          Option.map (fun mark -> Model.touched_since model mark) t.s_mark
-        else None
-      in
+         reduction trace instead of propagating from scratch. *)
+      let touched_rows = Option.map (fun mark -> Model.touched_since model mark) t.s_mark in
       (* The outcome keeps the model: hand it over without growth slack. *)
       Model.compact model;
       let t1 = Clock.now () in
@@ -213,7 +207,7 @@ let solve t =
           ?touched_rows ~ws:t.s_ws
           ?interrupt:t.s_config.Solver_config.interrupt
           ?on_incumbent:t.s_config.Solver_config.on_incumbent
-          ?scheduler:(Solver_config.scheduler t.s_config) model
+          ?scheduler:t.s_config.Solver_config.scheduler model
       in
       t.s_mark <- Some (Model.mark model);
       (* The carry-out cuts stay in the session for its next solve; the

@@ -47,7 +47,7 @@ let run (config : Solver_config.t) inst =
           ~separators:(Struct_cuts.separators enc.Full_encoding.ctx)
           ?interrupt:config.Solver_config.interrupt
           ?on_incumbent:config.Solver_config.on_incumbent
-          ?scheduler:(Solver_config.scheduler config) model
+          ?scheduler:config.Solver_config.scheduler model
       in
       let t2 = Clock.now () in
       let solution =

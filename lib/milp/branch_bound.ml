@@ -3,15 +3,12 @@ type options = {
   node_limit : int;
   rel_gap : float;
   abs_gap : float;
-  int_tol : float;
   presolve : bool;
   presolve_passes : Presolve.pass list;
-  rounding_heuristic : bool;
   cutoff : float;
   warm_start : bool;
   cuts : bool;
   cut_families : Cuts.family list;
-  cut_rounds : int;
   max_applied_cuts : int;
   cut_max_age : int;
   cut_pool_size : int;
@@ -30,15 +27,12 @@ let default_options =
     node_limit = 200_000;
     rel_gap = 1e-6;
     abs_gap = 1e-9;
-    int_tol = 1e-6;
     presolve = true;
     presolve_passes = Presolve.all_passes;
-    rounding_heuristic = true;
     cutoff = nan;
     warm_start = true;
     cuts = true;
     cut_families = Cuts.all_families;
-    cut_rounds = 20;
     max_applied_cuts = 32;
     cut_max_age = 5;
     cut_pool_size = 500;
@@ -186,9 +180,15 @@ let propagate p integer lb ub =
   | Presolve.Proven_infeasible _ -> None
   | Presolve.Feasible { lb; ub; _ } -> Some (lb, ub)
 
+(* Integrality tolerance on LP solutions. *)
+let int_tol = 1e-6
+
+(* Root cut-loop round budget. *)
+let cut_rounds = 20
+
 (* Most fractional integer variable of an LP point; -1 when the point is
    integral to [int_tol]. *)
-let most_fractional ~int_tol integer x =
+let most_fractional integer x =
   let best = ref (-1) and best_frac = ref int_tol in
   for j = 0 to Array.length integer - 1 do
     if integer.(j) then begin
@@ -218,7 +218,7 @@ let dive (o : options) t ~ws ~deadline p integer lb0 ub0 (root : Simplex.result)
   let basis = ref root.Simplex.basis in
   let lps = ref 0 in
   let rec go () =
-    let j = most_fractional ~int_tol:o.int_tol integer !x in
+    let j = most_fractional integer !x in
     if j < 0 then Some (Array.copy !x, !obj)
     else if !lps >= max_lps || Clock.now () > deadline then None
     else begin
@@ -557,7 +557,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         end
         else stop_requested ()
       in
-      let pick_branch_var = most_fractional ~int_tol:options.int_tol integer in
+      let pick_branch_var = most_fractional integer in
       let cut_root_done = ref false in
       let node_cut_budget = ref 8 in
       (* Total cap on applied cuts: every applied cut permanently grows
@@ -602,7 +602,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
       let root_cut_loop r ~lb ~ub =
         let rounds = ref 0 and tail = ref 0 and go = ref true in
         while
-          !go && !rounds < options.cut_rounds
+          !go && !rounds < cut_rounds
           && Array.length !cut_index < max_applied_cuts
           && Clock.now () < deadline
         do
@@ -725,12 +725,12 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                   for j = 0 to n - 1 do
                     if integer.(j) && lb.(j) < ub.(j) then
                       if
-                        x.(j) <= lb.(j) +. options.int_tol
+                        x.(j) <= lb.(j) +. int_tol
                         && d.(j) > 0.
                         && z +. d.(j) >= cutoff
                       then fixes := (j, lb.(j), lb.(j)) :: !fixes
                       else if
-                        x.(j) >= ub.(j) -. options.int_tol
+                        x.(j) >= ub.(j) -. int_tol
                         && d.(j) < 0.
                         && z -. d.(j) >= cutoff
                       then fixes := (j, ub.(j), ub.(j)) :: !fixes
@@ -785,8 +785,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                     let j = pick_branch_var x in
                     if j < 0 then improve x obj
                     else begin
-                      if options.rounding_heuristic && (t.t_nodes + round_off) land 15 = 1
-                      then begin
+                      if (t.t_nodes + round_off) land 15 = 1 then begin
                         match try_rounding prob integer lb ub x feas_tol with
                         | Some y -> improve y (objective_of prob y)
                         | None -> ()
@@ -794,9 +793,8 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                       (* Dive for an incumbent: always until the first one
                          exists, then occasionally to improve it. *)
                       if
-                        options.rounding_heuristic
-                        && ((Atomic.get inc).i_sol = None
-                           || (t.t_nodes + dive_off) land 63 = 2)
+                        (Atomic.get inc).i_sol = None
+                        || (t.t_nodes + dive_off) land 63 = 2
                       then begin
                         match dive options t ~ws ~deadline prob integer lb ub r 200 with
                         | Some (y, yobj) -> improve y yobj

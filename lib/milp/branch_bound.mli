@@ -1,9 +1,10 @@
 (** Branch & bound MILP solver on top of {!Simplex} and {!Presolve}.
 
     Best-bound node selection (min-heap on the parent LP bound) with
-    most-fractional branching, a root presolve, and a periodic rounding
-    heuristic for early incumbents.  Works for minimization and
-    maximization models (internally everything is minimized).
+    most-fractional branching (integrality tolerance 1e-6), a root
+    presolve, and a periodic rounding and diving heuristic for early
+    incumbents.  Works for minimization and maximization models
+    (internally everything is minimized).
 
     Node LPs are warm started: every node carries its parent's optimal
     {!Basis.t}, so a child — which differs from its parent by a single
@@ -24,14 +25,13 @@
     they cannot leave their bound in an improving solution.  Disable
     with [cut_families = []] / [rc_fixing = false] (the [archex --cuts none]
     / [--no-rc-fixing] flags); [cuts = false] also skips the
-    root cut loop itself. *)
+    root cut loop itself, which otherwise runs at most 20 rounds. *)
 
 type options = {
   time_limit : float;  (** Wall-clock seconds; [infinity] = none. *)
   node_limit : int;
   rel_gap : float;  (** Stop when (incumbent - bound)/|incumbent| <= rel_gap. *)
   abs_gap : float;
-  int_tol : float;  (** Integrality tolerance on LP solutions. *)
   presolve : bool;
       (** Run the root reduction stack ({!Presolve.reduce}) and solve
           the reduced problem, postsolving incumbents back before
@@ -40,7 +40,6 @@ type options = {
   presolve_passes : Presolve.pass list;
       (** Which reduction passes run (default {!Presolve.all_passes});
           ignored when [presolve = false]. *)
-  rounding_heuristic : bool;
   cutoff : float;
       (** Known objective bound in the model's own direction (an
           incumbent value from a related run): nodes that cannot beat it
@@ -64,7 +63,6 @@ type options = {
           ablation axis ([archex --cuts gmi,cover,...], swept by
           [bench/cuts_smoke.exe]); [[]] turns cutting
           planes off. *)
-  cut_rounds : int;  (** Root cut-loop round budget (default 20). *)
   max_applied_cuts : int;
       (** Total cap on cuts promoted to problem rows (default 32):
           every applied cut permanently grows the row set, taxing each
@@ -113,10 +111,10 @@ type options = {
 
 val default_options : options
 (** 60 s, 200_000 nodes, [rel_gap = 1e-6], [abs_gap = 1e-9],
-    [int_tol = 1e-6], presolve, rounding, warm starts, cuts (all
-    families, 20 rounds, 32 applied, pool age 5 / size 500, min
-    violation 1e-5) and reduced-cost fixing on, devex pricing with
-    Harris ratio tests, log off, [nworkers = 1], [seed = 0]. *)
+    presolve, warm starts, cuts (all families, 32 applied, pool age 5 /
+    size 500, min violation 1e-5) and reduced-cost fixing on, devex
+    pricing with Harris ratio tests, log off, [nworkers = 1],
+    [seed = 0]. *)
 
 type result = {
   status : Status.mip_status;

@@ -147,56 +147,40 @@ let unregister_inflight t a =
   Mutex.unlock t.d_lock
 
 (* Per-request solver config: daemon defaults + the request's sparse
-   override, merged in one [Solver_config.override] step.  [budget]
-   already folds the request deadline into the time limit. *)
+   overrides, in one setter chain.  [budget] already folds the request
+   deadline into the time limit.  [with_options] range-checks the cut
+   knobs and the worker count: Invalid_argument surfaces as a "bad
+   request" Error_msg frame. *)
 let request_config t ~kstar:k ~budget ~(o : Protocol.overrides) ~interrupt
     ~on_incumbent =
   let open Solver_config in
-  let base = default |> with_approx ~kstar:k () in
-  let nworkers =
-    match o.Protocol.o_workers with
-    | None | Some 0 -> t.d_workers (* daemon's resolved pool size *)
-    | Some n -> n
+  let ( |? ) v d = Option.value v ~default:d in
+  let cut_families =
+    Option.map
+      (fun s ->
+        match Milp.Cuts.families_of_string s with Ok fs -> fs | Error e -> invalid_arg e)
+      o.Protocol.o_cuts
   in
-  let k = base.kernel in
-  let kernel =
-    {
-      k with
-      k_cut_families =
-        (match o.Protocol.o_cuts with
-        | None -> k.k_cut_families
-        | Some s -> (
-            match Milp.Cuts.families_of_string s with Ok fs -> fs | Error e -> invalid_arg e));
-      k_max_applied_cuts = Option.value o.Protocol.o_cut_max_applied ~default:k.k_max_applied_cuts;
-      k_cut_max_age = Option.value o.Protocol.o_cut_max_age ~default:k.k_cut_max_age;
-      k_cut_pool_size = Option.value o.Protocol.o_cut_pool_size ~default:k.k_cut_pool_size;
-      k_cut_min_violation =
-        Option.value o.Protocol.o_cut_min_violation ~default:k.k_cut_min_violation;
-    }
-  in
-  (* The setters behind [override] validate: Invalid_argument surfaces
-     as a "bad request" Error_msg frame. *)
-  override
-    {
-      no_override with
-      o_time_limit = Some budget;
-      o_rel_gap = o.Protocol.o_rel_gap;
-      o_kernel = Some kernel;
-      o_seed = o.Protocol.o_seed;
-      o_workers = Some nworkers;
-      o_presolve =
-        Option.map
-          (fun on -> { base.presolve with ps_enabled = on })
-          o.Protocol.o_presolve;
-      o_heuristic =
-        Option.map
-          (function "tabu" -> tabu () | _ -> no_heuristic)
-          o.Protocol.o_heuristic;
-      o_scheduler = Some t.d_sched;
-      o_interrupt = Some interrupt;
-      o_on_incumbent = on_incumbent;
-    }
-    base
+  default |> with_approx ~kstar:k () |> with_time_limit budget
+  |> with_options (fun (b : Milp.Branch_bound.options) ->
+         {
+           b with
+           rel_gap = o.Protocol.o_rel_gap |? b.rel_gap;
+           presolve = o.Protocol.o_presolve |? b.presolve;
+           cut_families = cut_families |? b.cut_families;
+           max_applied_cuts = o.Protocol.o_cut_max_applied |? b.max_applied_cuts;
+           cut_max_age = o.Protocol.o_cut_max_age |? b.cut_max_age;
+           cut_pool_size = o.Protocol.o_cut_pool_size |? b.cut_pool_size;
+           cut_min_violation = o.Protocol.o_cut_min_violation |? b.cut_min_violation;
+           nworkers =
+             (match o.Protocol.o_workers with
+             | None | Some 0 -> t.d_workers (* daemon's resolved pool size *)
+             | Some n -> n);
+           seed = o.Protocol.o_seed |? b.seed;
+         })
+  |> (if o.Protocol.o_heuristic = Some "tabu" then with_heuristic (tabu ()) else Fun.id)
+  |> with_scheduler t.d_sched |> with_interrupt interrupt
+  |> match on_incumbent with Some f -> with_on_incumbent f | None -> Fun.id
 
 let result_frame ~(mip : Milp.Branch_bound.result) ~solve_time ~workers
     ~cache_hit ~interrupted =

@@ -1002,7 +1002,7 @@ let test_regression_warm_start_unchanged () =
             default
             |> with_approx ~kstar:4 ()
             |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_kernel { default.kernel with k_warm_start = warm_start })
+            |> with_options (fun o -> { o with warm_start }))
         in
         match Solve.run cfg inst with
         | Ok out -> out
@@ -1036,12 +1036,12 @@ let test_regression_cuts_unchanged () =
             default
             |> with_approx ~kstar:4 ()
             |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_kernel
-                 {
-                   default.kernel with
-                   k_cut_families = (if enabled then Milp.Cuts.all_families else []);
-                   k_rc_fixing = enabled;
-                 })
+            |> with_options (fun o ->
+                   {
+                     o with
+                     cut_families = (if enabled then Milp.Cuts.all_families else []);
+                     rc_fixing = enabled;
+                   }))
         in
         match Solve.run cfg inst with
         | Ok out -> out
@@ -1077,7 +1077,7 @@ let test_regression_cut_families_parity () =
             default
             |> with_approx ~kstar:4 ()
             |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_kernel { default.kernel with k_cut_families = fams })
+            |> with_options (fun o -> { o with cut_families = fams }))
         in
         match Solve.run cfg inst with
         | Ok out -> out
@@ -1236,7 +1236,7 @@ let par_solve ?(kstar = 4) ?(presolve = true) ~workers inst =
     Solver_config.(
       default |> with_approx ~kstar:k () |> with_time_limit 60. |> with_rel_gap 1e-6
       |> with_workers workers
-      |> with_presolving { default.presolve with ps_enabled = presolve })
+      |> with_options (fun o -> { o with presolve }))
   in
   match Solve.run cfg inst with Ok out -> out | Error e -> Alcotest.fail e
 
@@ -1364,7 +1364,7 @@ let test_parallel_seed_still_matches () =
         let cfg =
           Solver_config.(
             default |> with_approx ~kstar:4 () |> with_time_limit 60. |> with_rel_gap 1e-6
-            |> with_parallelism { default.parallel with par_workers = 4; par_seed = seed })
+            |> with_options (fun o -> { o with nworkers = 4; seed }))
         in
         match Solve.run cfg inst with Ok out -> out | Error e -> Alcotest.fail e
       in

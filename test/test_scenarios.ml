@@ -1,7 +1,7 @@
 (* PR9 surface: the scenario registry, the tactical generator, the
    tabu-search heuristic, the matheuristic bridge into the exact
-   solver, the nested solver-config groups and the per-request
-   override merge. *)
+   solver, per-request session reconfiguration and the solver-config
+   checks. *)
 
 open Archex
 module Tabu = Heuristic.Tabu
@@ -328,7 +328,7 @@ let test_table1_registry_bitcompat () =
 (* ---- session reconfigure -------------------------------------------- *)
 
 let test_reconfigure_presolve_toggle () =
-  (* Toggling the presolve group per-request on a warm session must
+  (* Toggling presolve per-request on a warm session must
      invalidate the cached template reduction trace: parity against a
      control session that never toggles, across grows on both sides of
      the toggle. *)
@@ -343,15 +343,12 @@ let test_reconfigure_presolve_toggle () =
   let o1 = Session.solve s and c1 = Session.solve control in
   Alcotest.(check (float 1e-6)) "warm-up parity" (obj c1) (obj o1);
   Session.reconfigure s
-    Solver_config.(
-      override
-        { no_override with o_presolve = Some { cfg.presolve with ps_enabled = false } }
-        cfg);
+    (Solver_config.with_options (fun o -> { o with presolve = false }) cfg);
   get (Session.grow s ~kstar:3);
   get (Session.grow control ~kstar:3);
   let o2 = Session.solve s and c2 = Session.solve control in
   Alcotest.(check (float 1e-6)) "presolve-off parity" (obj c2) (obj o2);
-  Alcotest.(check int) "override really disabled the reduction stack" 0
+  Alcotest.(check int) "reconfigure really disabled the reduction stack" 0
     o2.Outcome.mip.Milp.Branch_bound.presolve_rows_removed;
   Session.reconfigure s cfg;
   get (Session.grow s ~kstar:4);
@@ -359,71 +356,52 @@ let test_reconfigure_presolve_toggle () =
   let o3 = Session.solve s and c3 = Session.solve control in
   Alcotest.(check (float 1e-6)) "presolve-back-on parity" (obj c3) (obj o3)
 
-(* ---- solver-config groups and overrides ----------------------------- *)
+(* ---- solver-config checks ------------------------------------------- *)
 
-let test_config_groups_flat_equiv () =
+let test_config_range_checks () =
+  (* [with_options] is the one place engine settings are checked, which
+     is what turns a bad CLI flag or per-request value into an error
+     message instead of a crash.  Every shorthand setter goes through
+     it too. *)
   let open Solver_config in
-  (* [compare], not [=]: options.cutoff defaults to nan, and
-     [nan = nan] is false under structural equality. *)
-  let same a b = compare a b = 0 in
-  Alcotest.(check bool) "workers flat = parallel group" true
-    (same
-       (default |> with_workers 3)
-       (default |> with_parallelism { default.parallel with par_workers = 3 }));
-  let o = bb_options (default |> with_kernel { default.kernel with k_warm_start = false }) in
-  Alcotest.(check bool) "kernel group reaches bb_options" true
-    (not o.Milp.Branch_bound.warm_start);
-  let o =
-    bb_options (default |> with_presolving { default.presolve with ps_enabled = false })
-  in
-  Alcotest.(check bool) "presolve group reaches bb_options" true
-    (not o.Milp.Branch_bound.presolve);
-  (* The kernel group setter range-checks the cut-pool knobs, which is
-     what turns a bad per-request value into a daemon error frame. *)
-  let k = default.kernel in
   List.iter
-    (fun (name, bad) ->
-      match with_kernel bad default with
+    (fun (name, f) ->
+      match with_options f default with
       | _ -> Alcotest.failf "%s accepted" name
       | exception Invalid_argument _ -> ())
     [
-      ("max applied 0", { k with k_max_applied_cuts = 0 });
-      ("max age 0", { k with k_cut_max_age = 0 });
-      ("pool size 0", { k with k_cut_pool_size = 0 });
-      ("min violation 0", { k with k_cut_min_violation = 0. });
-    ]
-
-let test_config_override_merge () =
-  let open Solver_config in
-  let cfg = default |> with_approx ~kstar:5 () |> with_time_limit 12. in
-  Alcotest.(check bool) "no_override is the identity" true
-    (compare (override no_override cfg) cfg = 0);
-  let c =
-    override
-      {
-        no_override with
-        o_time_limit = Some 3.;
-        o_workers = Some 2;
-        o_heuristic = Some (tabu ~time_s:0.5 ());
-      }
-      cfg
-  in
-  Alcotest.(check bool) "time limit applied" true
-    ((bb_options c).Milp.Branch_bound.time_limit = 3.);
-  Alcotest.(check int) "workers applied" 2 c.parallel.par_workers;
-  Alcotest.(check bool) "heuristic group applied" true
-    (c.heuristic.h_mode = H_tabu && c.heuristic.h_time_s = 0.5);
+      ("max applied 0", fun o -> { o with max_applied_cuts = 0 });
+      ("max age 0", fun o -> { o with cut_max_age = 0 });
+      ("pool size 0", fun o -> { o with cut_pool_size = 0 });
+      ("min violation 0", fun o -> { o with cut_min_violation = 0. });
+      ("min violation < 0", fun o -> { o with cut_min_violation = -1. });
+      ("workers < 0", fun o -> { o with nworkers = -3 });
+    ];
+  (match with_workers (-1) default with
+  | _ -> Alcotest.fail "with_workers (-1) accepted"
+  | exception Invalid_argument _ -> ());
+  let base = default |> with_approx ~kstar:5 () in
+  let c = base |> with_options (fun o -> { o with warm_start = false; presolve = false }) in
+  let o = bb_options c in
+  Alcotest.(check bool) "edits reach bb_options" true
+    ((not o.Milp.Branch_bound.warm_start) && not o.Milp.Branch_bound.presolve);
   Alcotest.(check bool) "strategy untouched" true (kstar c = Some 5);
-  Alcotest.(check bool) "presolve group untouched" true (same_presolve cfg c);
-  let c2 =
-    override
-      { no_override with o_presolve = Some { cfg.presolve with ps_enabled = false } }
-      cfg
-  in
-  Alcotest.(check bool) "presolve override breaks same_presolve" true
-    (not (same_presolve cfg c2));
-  Alcotest.(check bool) "presolve override reaches bb_options" true
-    (not (bb_options c2).Milp.Branch_bound.presolve)
+  Alcotest.(check bool) "presolve edit breaks same_presolve" true
+    (not (same_presolve base c));
+  let c = with_time_limit 3. base in
+  Alcotest.(check bool) "time limit reaches bb_options" true
+    ((bb_options c).Milp.Branch_bound.time_limit = 3.);
+  Alcotest.(check bool) "time limit leaves same_presolve" true (same_presolve base c)
+
+let test_config_auto_workers () =
+  let open Solver_config in
+  Alcotest.(check int) "0 resolves to the detected domain count"
+    (Domain.recommended_domain_count ())
+    (bb_options (with_workers 0 default)).Milp.Branch_bound.nworkers;
+  Alcotest.(check int) "explicit count passes through" 3
+    (bb_options (with_workers 3 default)).Milp.Branch_bound.nworkers;
+  Alcotest.(check int) "config keeps the unresolved 0" 0
+    (with_workers 0 default).options.Milp.Branch_bound.nworkers
 
 let test_heuristic_mode_names () =
   let open Solver_config in
@@ -483,8 +461,9 @@ let () =
         ] );
       ( "config",
         [
-          Alcotest.test_case "groups = flat setters" `Quick test_config_groups_flat_equiv;
-          Alcotest.test_case "override merge" `Quick test_config_override_merge;
+          Alcotest.test_case "with_options range checks" `Quick test_config_range_checks;
+          Alcotest.test_case "bb_options resolves auto workers" `Quick
+            test_config_auto_workers;
           Alcotest.test_case "heuristic mode spellings" `Quick test_heuristic_mode_names;
         ] );
     ]

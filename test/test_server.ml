@@ -486,9 +486,6 @@ let base_cfg ~workers =
     |> with_approx ~kstar:4 ()
     |> with_time_limit 60. |> with_rel_gap 1e-6 |> with_workers workers)
 
-let on_scheduler s cfg =
-  Archex.Solver_config.(override { no_override with o_scheduler = Some s } cfg)
-
 let solve_cfg cfg inst =
   match Archex.Solve.run cfg inst with
   | Ok out -> out
@@ -512,7 +509,7 @@ let test_bb_sequential_via_scheduler_replay () =
         Fun.protect
           ~finally:(fun () -> Scheduler.shutdown s)
           (fun () ->
-            let cfg = on_scheduler s (base_cfg ~workers:1) in
+            let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:1) in
             (solve_cfg cfg inst).Archex.Outcome.mip)
       in
       Alcotest.(check int) "pinned energy node count" 575 via.Branch_bound.nodes;
@@ -539,7 +536,9 @@ let test_bb_streamed_bound_honest () =
         let lock = Mutex.create () and streamed = ref [] in
         let record o b = Mutex.protect lock (fun () -> streamed := (o, b) :: !streamed) in
         let cfg = base_cfg ~workers |> Archex.Solver_config.with_on_incumbent record in
-        let cfg = match sched with Some s -> on_scheduler s cfg | None -> cfg in
+        let cfg =
+          match sched with Some s -> Archex.Solver_config.with_scheduler s cfg | None -> cfg
+        in
         let mip = (solve_cfg cfg inst).Archex.Outcome.mip in
         Alcotest.(check string) (tag ^ ": proved optimal") "optimal"
           (Status.mip_status_to_string mip.Branch_bound.status);
@@ -574,7 +573,7 @@ let test_bb_parallel_via_shared_scheduler () =
         Fun.protect
           ~finally:(fun () -> Scheduler.shutdown s)
           (fun () ->
-            let cfg = on_scheduler s (base_cfg ~workers:4) in
+            let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:4) in
             solve_cfg cfg inst)
       in
       Alcotest.(check string) "status parity"
@@ -604,7 +603,7 @@ let test_bb_concurrent_solves_share_pool () =
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown s)
     (fun () ->
-      let cfg = on_scheduler s (base_cfg ~workers:2) in
+      let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:2) in
       let t1 = Thread.create (fun () -> r_dollar := Some (solve_cfg cfg dollar)) () in
       let t2 = Thread.create (fun () -> r_mixed := Some (solve_cfg cfg mixed)) () in
       Thread.join t1;
@@ -715,8 +714,8 @@ let test_daemon_end_to_end () =
               | Error e -> Alcotest.fail ("unknown workload: " ^ e));
               (* Per-request cut overrides: a restricted family list
                  still proves the same optimum; a bogus list, a retired
-                 family or an out-of-range pool knob is a bad request,
-                 not a crash. *)
+                 family, an out-of-range pool knob or a negative worker
+                 count is a bad request, not a crash. *)
               let r3 =
                 expect_result "cuts override"
                   (Server.Client.solve conn
@@ -740,6 +739,10 @@ let test_daemon_end_to_end () =
                   ("bad cut list", { small_overrides with o_cuts = Some "bogus" });
                   ("retired family", { small_overrides with o_cuts = Some "negcycle" });
                   ("zero pool age", { small_overrides with o_cut_max_age = Some 0 });
+                  ("zero max applied", { small_overrides with o_cut_max_applied = Some 0 });
+                  ("zero pool size", { small_overrides with o_cut_pool_size = Some 0 });
+                  ("zero min violation", { small_overrides with o_cut_min_violation = Some 0. });
+                  ("negative workers", { small_overrides with o_workers = Some (-3) });
                 ];
               (* A raw LP model takes the cacheless MILP path. *)
               let m = Model.create () in
