@@ -1,17 +1,27 @@
 type vstat = Basic | At_lower | At_upper | Free_zero
 
+(* One byte per column: snapshots ride in every open node's payload. *)
 type t = {
   ncols : int;
   nrows : int;
   basis : int array;
-  stat : vstat array;
+  stat : Bytes.t;
   factor : Lu.factor option;
 }
+
+let code = function Basic -> '\000' | At_lower -> '\001' | At_upper -> '\002' | Free_zero -> '\003'
+
+let status b j =
+  match Bytes.get b.stat j with
+  | '\000' -> Basic
+  | '\001' -> At_lower
+  | '\002' -> At_upper
+  | _ -> Free_zero
 
 let make ~ncols ~nrows ~basis ~stat ~factor =
   { ncols; nrows;
     basis = Array.copy basis;
-    stat = Array.copy stat;
+    stat = Bytes.init (Array.length stat) (fun j -> code stat.(j));
     factor }
 
 let age b =
@@ -22,7 +32,7 @@ let age b =
 let compatible b ~ncols ~nrows =
   b.ncols = ncols && b.nrows = nrows
   && Array.length b.basis = nrows
-  && Array.length b.stat = ncols + (2 * nrows)
+  && Bytes.length b.stat = ncols + (2 * nrows)
   && (match b.factor with
      | None -> true
      | Some f -> Lu.factor_dim f = nrows)
@@ -48,12 +58,10 @@ let append_rows b (rows : (int * float) array array) =
       basis.(m + t) <- n + m + t
       (* the new slacks *)
     done;
-    let stat = Array.make (n + (2 * m')) At_lower in
-    Array.blit b.stat 0 stat 0 (n + m);
-    for t = 0 to k - 1 do
-      stat.(n + m + t) <- Basic
-    done;
-    Array.blit b.stat (n + m) stat (n + m + k) m;
+    let stat = Bytes.make (n + (2 * m')) (code At_lower) in
+    Bytes.blit b.stat 0 stat 0 (n + m);
+    Bytes.fill stat (n + m) k (code Basic);
+    Bytes.blit b.stat (n + m) stat (n + m + k) m;
     (* the sealed artificials of the new rows stay At_lower *)
     let factor =
       match b.factor with
@@ -92,14 +100,17 @@ let append_row b row = append_rows b [| row |]
    started from. *)
 let well_formed b =
   let ntot = b.ncols + (2 * b.nrows) in
-  let seen = Array.make ntot false in
-  let ok = ref (Array.length b.basis = b.nrows && Array.length b.stat = ntot) in
+  let ok = ref (Array.length b.basis = b.nrows && Bytes.length b.stat = ntot) in
+  let seen = Bytes.make (if !ok then ntot else 0) '\000' in
   if !ok then
     Array.iter
       (fun j ->
-        if j < 0 || j >= ntot || seen.(j) || b.stat.(j) <> Basic then ok := false
-        else seen.(j) <- true)
+        if j < 0 || j >= ntot || Bytes.get seen j <> '\000' || status b j <> Basic then
+          ok := false
+        else Bytes.set seen j '\001')
       b.basis;
   if !ok then
-    Array.iteri (fun j s -> if s = Basic && not seen.(j) then ok := false) b.stat;
+    for j = 0 to ntot - 1 do
+      if status b j = Basic && Bytes.get seen j = '\000' then ok := false
+    done;
   !ok

@@ -21,7 +21,9 @@ type t = private {
   ncols : int;  (** Structural columns of the problem snapshotted. *)
   nrows : int;  (** Rows of the problem snapshotted. *)
   basis : int array;  (** Column basic in each row; length [nrows]. *)
-  stat : vstat array;  (** Per-column status; length [ncols + 2*nrows]. *)
+  stat : Bytes.t;
+      (** Per-column status, one byte each (read it with {!status});
+          length [ncols + 2*nrows]. *)
   factor : Lu.factor option;
       (** Sparse LU of the basis matrix at snapshot time, when the
           snapshotting solve had one that passed its stability probe;
@@ -31,8 +33,11 @@ type t = private {
 val make :
   ncols:int -> nrows:int -> basis:int array -> stat:vstat array ->
   factor:Lu.factor option -> t
-(** Snapshot (copies the header arrays; the factor is immutable and
-    shared). *)
+(** Snapshot (copies the header arrays, packing [stat] one byte per
+    column; the factor is immutable and shared). *)
+
+val status : t -> int -> vstat
+(** [status b j] is column [j]'s status in the snapshot. *)
 
 val age : t -> int
 (** Eta updates accumulated in the stored factor since its underlying

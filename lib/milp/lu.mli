@@ -30,17 +30,24 @@
     only the original rows remain bit-identical. *)
 
 type t
-(** Mutable working handle: triangular core + growing eta file + private
-    scratch.  Owned by one solver state; never shared across domains. *)
+(** Mutable working handle: triangular core + growing eta file.  Owned
+    by one solver state; never shared across domains.  Solves borrow
+    their step-space vector from the calling domain's scratch. *)
 
 type factor
 (** Immutable snapshot of a handle, safe to share and to store in basis
     snapshots. *)
 
-val factorize : m:int -> (int -> (int * float) array) -> t option
-(** [factorize ~m col] factorizes the [m]×[m] matrix whose column at
-    position [i] is the sparse vector [col i] (duplicate row entries are
-    summed, as in constraint-column storage).
+val factorize_csc :
+  m:int -> colp:int array -> coli:int array -> colv:floatarray -> int array -> t option
+(** [factorize_csc ~m ~colp ~coli ~colv basis] factorizes the [m]×[m]
+    matrix whose column at position [i] is column [basis.(i)] of the
+    compressed sparse column (CSC) matrix [colp]/[coli]/[colv]: column
+    [j] holds the rows [coli.(k)] and values [colv.(k)] for [k] in
+    [colp.(j)] to [colp.(j+1) - 1].  A row repeated within a column is
+    summed into its first occurrence, as in constraint-column storage;
+    entries that sum to zero, or lie outside [0, m), make no entry (the
+    latter makes the matrix singular).
 
     Pivot rule, at each elimination step: among active entries carrying
     at least 0.1 of their column's largest active magnitude (columns
@@ -53,10 +60,28 @@ val factorize : m:int -> (int -> (int * float) array) -> t option
     on ties).  Zero-score pivots are found without a full scan, but
     the choice, and so the factors, are those of the full scan.
 
+    Entry order: a column the elimination rewrites keeps its surviving
+    entries in their order, then its fill-ins in the order of the pivot
+    column's L entries; a step's U row lists the columns it was
+    eliminated from in the reverse of the order they were reached.
+    Solves depend on that order bit for bit.
+
+    Allocation: every working array lives in a scratch buffer owned by
+    the calling domain and reused across calls, so a factorization
+    allocates the returned factor (O(m + nnz(L+U)) words) and a few
+    closures; a call that finds its domain's scratch in use (another
+    systhread of the domain is mid-call) works on a fresh one.
+
     Returns [None] when the matrix is singular or fails the
     conditioning probe (solving against the all-ones vector must
     reproduce it to a relative 1e-8), so a caller can fall back to a
     cold start. *)
+
+val factorize : m:int -> (int -> (int * float) array) -> t option
+(** [factorize ~m col] is {!factorize_csc} on the matrix whose column
+    at position [i] is the sparse vector [col i]: the same factors, bit
+    for bit.  It copies the columns into CSC form first, so it suits
+    tests and small one-off callers. *)
 
 val dim : t -> int
 

@@ -92,6 +92,7 @@ type workspace = {
   mutable a_cnd : int array;  (* dual ratio-test candidates *)
   mutable a_cnda : float array;
   mutable a_cndr : float array;
+  mutable a_cndo : int array;  (* their ratio order (bound flipping) *)
 }
 
 let create_workspace () =
@@ -101,7 +102,7 @@ let create_workspace () =
     a_lb = [||]; a_ub = [||]; a_cost = [||]; a_stat = [||];
     a_basis = [||]; a_xb = [||]; a_wy = [||]; a_ww = [||];
     a_wrho = [||]; a_wres = [||]; a_dred = [||]; a_dw = [||];
-    a_wflip = [||]; a_cnd = [||]; a_cnda = [||]; a_cndr = [||];
+    a_wflip = [||]; a_cnd = [||]; a_cnda = [||]; a_cndr = [||]; a_cndo = [||];
   }
 
 let ensure_f a n = if Array.length a = n then a else Array.make n 0.
@@ -192,6 +193,7 @@ type state = {
   cnd : int array;  (* dual-loop candidate columns *)
   cnd_a : float array;  (* their pivot-row coefficients *)
   cnd_r : float array;  (* their dual ratios *)
+  cnd_o : int array;  (* candidate indices in ratio order *)
   mutable d_valid : bool;  (* [dred] tracks the current basis *)
   mutable niter : int;
   mutable degen_count : int;
@@ -220,19 +222,14 @@ let nb_value st j =
   | Basic -> invalid_arg "nb_value: basic"
 
 (* Factorize the basis matrix whose column at position [i] is CSC
-   column [basis.(i)].  Each column is materialized as a tuple array
-   for [Lu.factorize]; the per-iteration loops read the CSC buffers
-   directly.  This is not a rare call: it runs mostly when the eta file
+   column [basis.(i)]; [Lu.factorize_csc] reads the CSC buffers in
+   place.  This is not a rare call: it runs mostly when the eta file
    reaches [eta_limit], 1,242 times in a one-pass perfbench
    [tactical-root] run and 4,153 times in a [table1-tree] one, and
    factorization is the largest single cost of those LPs (DESIGN §5f).
    Warm restores do not add to it: none of the 6,574 restores of that
    [tactical-root] run found its snapshot past [refresh_age]. *)
-let factor_basis ~m colp coli colv basis =
-  Lu.factorize ~m (fun i ->
-      let j = basis.(i) in
-      let s = colp.(j) and e = colp.(j + 1) in
-      Array.init (e - s) (fun k -> (coli.(s + k), FA.get colv (s + k))))
+let factor_basis ~m colp coli colv basis = Lu.factorize_csc ~m ~colp ~coli ~colv basis
 
 (* ------------------------------------------------------------------ *)
 (* Kernel operations                                                   *)
@@ -627,6 +624,7 @@ let prepare_workspace (ws : workspace) p ~lb:wlb ~ub:wub =
   ws.a_cnd <- ensure_i ws.a_cnd ntot;
   ws.a_cnda <- ensure_f ws.a_cnda ntot;
   ws.a_cndr <- ensure_f ws.a_cndr ntot;
+  ws.a_cndo <- ensure_i ws.a_cndo ntot;
   let lb = ws.a_lb and ub = ws.a_ub in
   Array.blit wlb 0 lb 0 n;
   Array.blit wub 0 ub 0 n;
@@ -654,7 +652,7 @@ let state_of_workspace ~pricing ~harris (ws : workspace) p ~kern ~age =
     pricing; harris; kern; xb = ws.a_xb; cost = ws.a_cost;
     wy = ws.a_wy; ww = ws.a_ww; wrho = ws.a_wrho; wres = ws.a_wres;
     dred = ws.a_dred; dw = ws.a_dw; wflip = ws.a_wflip;
-    cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr;
+    cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr; cnd_o = ws.a_cndo;
     d_valid = false; niter = 0; degen_count = 0; bland = false;
     price_ptr = 0; age }
 
@@ -751,7 +749,9 @@ let warm_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub (b : Basis.t) =
     ub.(art) <- 0.
   done;
   let stat = ws.a_stat in
-  Array.blit b.Basis.stat 0 stat 0 ntot;
+  for j = 0 to ntot - 1 do
+    stat.(j) <- Basis.status b j
+  done;
   (* Nonbasic statuses must reference bounds that exist under the new
      box; reconcile the few that a bound change invalidated. *)
   for j = 0 to ntot - 1 do
@@ -782,6 +782,76 @@ let warm_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub (b : Basis.t) =
       let st = state_of_workspace ~pricing ~harris ws p ~kern ~age in
       recompute_xb st;
       Some st
+
+(* [Array.sort cmp] restricted to the prefix [a.(0 .. l-1)]: the same
+   heap sort step for step, so ties land where [Array.sort] puts them,
+   without its per-call array or exceptions.  [maxson] answers -1 where
+   [Array.sort] raises [Bottom]. *)
+let heap_sort cmp a l =
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if cmp a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+      if cmp a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+    end
+    else if i31 + 1 < l && cmp a.(i31) a.(i31 + 1) < 0 then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  let trickle l i e =
+    let i = ref i and go = ref true in
+    while !go do
+      let j = maxson l !i in
+      if j >= 0 && cmp a.(j) e > 0 then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        go := false
+      end
+    done
+  in
+  let bubble l i =
+    let i = ref i and j = ref (maxson l i) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson l !i
+    done;
+    !i
+  in
+  let trickleup i e =
+    let i = ref i and go = ref true in
+    while !go do
+      let father = (!i - 1) / 3 in
+      if cmp a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          go := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        go := false
+      end
+    done
+  in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
 
 type dual_outcome = Dual_feasible | Dual_proven_infeasible | Dual_stalled
 
@@ -886,13 +956,16 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
             done
           end
           else begin
-            let ord = Array.init ncand Fun.id in
-            Array.sort
+            let ord = st.cnd_o in
+            for c = 0 to ncand - 1 do
+              ord.(c) <- c
+            done;
+            heap_sort
               (fun x y ->
                 let c = Float.compare st.cnd_r.(x) st.cnd_r.(y) in
                 if c <> 0 then c
                 else Float.compare (Float.abs st.cnd_a.(y)) (Float.abs st.cnd_a.(x)))
-              ord;
+              ord ncand;
             let slope = ref viol in
             let t = ref 0 in
             while !enter < 0 && !t < ncand do

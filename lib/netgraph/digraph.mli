@@ -5,7 +5,12 @@
     both forward and backward, so successor and predecessor queries are
     O(out-degree) / O(in-degree).  Edge weights are mutable — Algorithm 1
     "disconnects" a path by raising its edge weights to [infinity] —
-    but the node set is fixed at creation. *)
+    but the node set is fixed at creation.
+
+    Each node's neighbours and weights are kept in parallel arrays in
+    insertion order (one pair forward, one backward), so an edge costs
+    two words per direction and edge lookups scan the node's
+    neighbours: O(degree). *)
 
 type t
 
@@ -39,6 +44,11 @@ val succ : t -> int -> (int * float) list
 (** Successors with weights, in insertion order. *)
 
 val pred : t -> int -> (int * float) list
+(** Predecessors with weights, in insertion order. *)
+
+val iter_succ : t -> int -> (int -> float -> unit) -> unit
+(** [iter_succ g u f] calls [f v w] on each successor of [u], in the
+    order of {!succ}, without building a list. *)
 
 val out_degree : t -> int -> int
 
@@ -55,10 +65,12 @@ val of_edges : int -> (int * int * float) list -> t
 (** [of_edges n es] builds the graph in one call. *)
 
 val copy : t -> t
-(** Deep copy (edge weights are independent). *)
+(** Deep copy (edge weights are independent), with the same successor
+    and predecessor orders; its arrays are sized to the degrees. *)
 
 val transpose : t -> t
-(** Graph with every edge reversed. *)
+(** Graph with every edge reversed: its successors of [v] are the
+    predecessors of [v] in [g], in the same order, and vice versa. *)
 
 val reachable : t -> int -> bool array
 (** [reachable g s] marks every node reachable from [s] (including [s]). *)

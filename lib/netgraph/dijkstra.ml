@@ -88,8 +88,7 @@ let search ?(banned_node = no_node) ?(banned_edge = no_edge) g ~src ~stop_at =
           settled.(u) <- true;
           if u = stop then finished := true
           else
-            List.iter
-              (fun (v, w) ->
+            Digraph.iter_succ g u (fun v w ->
                 if w < 0. then invalid_arg "Dijkstra: negative edge weight";
                 if
                   (not settled.(v))
@@ -104,7 +103,6 @@ let search ?(banned_node = no_node) ?(banned_edge = no_edge) g ~src ~stop_at =
                     Heap.push heap nd v
                   end
                 end)
-              (Digraph.succ g u)
         end
   done;
   (dist, prev)

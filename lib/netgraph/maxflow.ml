@@ -103,16 +103,16 @@ let disjoint_paths g ~src ~dst =
     let rec walk acc u =
       if u = dst then List.rev (u :: acc)
       else begin
-        let next =
-          List.find_opt
-            (fun (v, _) -> Option.value ~default:false (Hashtbl.find_opt used (u, v)))
-            (Digraph.succ g u)
-        in
-        match next with
-        | Some (v, _) ->
-            Hashtbl.replace used (u, v) false;
-            walk (u :: acc) v
-        | None -> List.rev (u :: acc) (* should not happen on a valid flow *)
+        let next = ref (-1) in
+        Digraph.iter_succ g u (fun v _ ->
+            if !next < 0 && Option.value ~default:false (Hashtbl.find_opt used (u, v)) then
+              next := v);
+        let v = !next in
+        if v >= 0 then begin
+          Hashtbl.replace used (u, v) false;
+          walk (u :: acc) v
+        end
+        else List.rev (u :: acc) (* should not happen on a valid flow *)
       end
     in
     paths := walk [] src :: !paths

@@ -72,6 +72,87 @@ let test_digraph_undirected () =
   Digraph.add_undirected g ~w:4. 0 1;
   Alcotest.(check bool) "both ways" true (Digraph.mem_edge g 0 1 && Digraph.mem_edge g 1 0)
 
+(* Reference adjacency model: per node, the (neighbour, weight) lists
+   of each direction in insertion order. *)
+type ref_graph = { rf : (int * float) list array; rb : (int * float) list array }
+
+type op = Add of int * int * float | Set of int * int * float | Copy | Transpose
+
+let ref_add r u v w =
+  if List.mem_assoc v r.rf.(u) then begin
+    r.rf.(u) <- List.map (fun (x, y) -> if x = v then (x, w) else (x, y)) r.rf.(u);
+    r.rb.(v) <- List.map (fun (x, y) -> if x = u then (x, w) else (x, y)) r.rb.(v)
+  end
+  else begin
+    r.rf.(u) <- r.rf.(u) @ [ (v, w) ];
+    r.rb.(v) <- r.rb.(v) @ [ (u, w) ]
+  end
+
+let gen_ops =
+  QCheck2.Gen.(
+    let* n = int_range 2 7 in
+    let node = int_range 0 (n - 1) in
+    let weight = map float_of_int (int_range 0 9) in
+    let op =
+      frequency
+        [ (6, map3 (fun u v w -> Add (u, v, w)) node node weight);
+          (3, map3 (fun u v w -> Set (u, v, w)) node node weight);
+          (1, return Copy);
+          (1, return Transpose) ]
+    in
+    let* ops = list_size (int_range 0 40) op in
+    return (n, ops))
+
+let prop_digraph_matches_reference =
+  QCheck2.Test.make ~name:"digraph: orders, weights and degrees follow a reference model"
+    ~count:300 gen_ops (fun (n, ops) ->
+      let g = ref (Digraph.create n) in
+      let r = ref { rf = Array.make n []; rb = Array.make n [] } in
+      let agrees () =
+        let g = !g and r = !r in
+        let edges = Array.fold_left (fun k l -> k + List.length l) 0 r.rf in
+        Digraph.nedges g = edges
+        && List.for_all
+             (fun u ->
+               let succ = ref [] in
+               Digraph.iter_succ g u (fun v w -> succ := (v, w) :: !succ);
+               Digraph.succ g u = r.rf.(u)
+               && List.rev !succ = r.rf.(u)
+               && Digraph.pred g u = r.rb.(u)
+               && Digraph.out_degree g u = List.length r.rf.(u)
+               && Digraph.in_degree g u = List.length r.rb.(u)
+               && List.for_all
+                    (fun v -> Digraph.weight_opt g u v = List.assoc_opt v r.rf.(u))
+                    (List.init n Fun.id))
+             (List.init n Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (u, v, w) ->
+              if u <> v then begin
+                Digraph.add_edge !g ~w u v;
+                ref_add !r u v w
+              end
+          | Set (u, v, w) ->
+              if List.mem_assoc v !r.rf.(u) then begin
+                Digraph.set_weight !g u v w;
+                ref_add !r u v w
+              end
+          | Copy ->
+              (* The copy must be independent: a write to the original
+                 afterwards does not reach it. *)
+              let h = Digraph.copy !g in
+              (match Digraph.edges !g with
+              | (u, v, _) :: _ -> Digraph.set_weight !g u v 99.
+              | [] -> ());
+              g := h
+          | Transpose ->
+              g := Digraph.transpose !g;
+              r := { rf = !r.rb; rb = !r.rf });
+          agrees ())
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Dijkstra                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -375,6 +456,7 @@ let () =
           Alcotest.test_case "reachability" `Quick test_digraph_reachable;
           Alcotest.test_case "copy independence" `Quick test_digraph_copy_independent;
           Alcotest.test_case "undirected helper" `Quick test_digraph_undirected;
+          qt prop_digraph_matches_reference;
         ] );
       ( "dijkstra",
         [
