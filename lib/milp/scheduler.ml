@@ -4,6 +4,11 @@
    has its own lock; the claim step first picks a *solve* (weighted
    fair by tasks served) and only then a heap within it. *)
 
+(* Worker domains outlive the pools that use them: [shutdown] parks its
+   workers instead of joining them, and [create] takes parked domains
+   before it spawns any (see Parking). *)
+let domains = Parking.create ~spawn:(fun f -> ignore (Domain.spawn f))
+
 type solve = {
   weight : float;
   heaps : (int -> unit) Pqueue.t array;
@@ -43,7 +48,8 @@ type t = {
   mutable solves : solve list;
   mutable down : bool;
   shutdown_flag : bool Atomic.t;
-  mutable domains : unit Domain.t list;
+  mutable workers : int;  (* Worker loops not yet returned, under [lock]. *)
+  mutable worker_exn : exn option;  (* The first a worker loop raised, for [shutdown]. *)
 }
 
 type handle = { sched : t; sv : solve }
@@ -190,10 +196,20 @@ let create ~nworkers =
       solves = [];
       down = false;
       shutdown_flag = Atomic.make false;
-      domains = [];
+      workers = nworkers;
+      worker_exn = None;
     }
   in
-  t.domains <- List.init nworkers (fun slot -> Domain.spawn (fun () -> run_worker t slot));
+  let returned e =
+    Mutex.lock t.lock;
+    t.workers <- t.workers - 1;
+    if t.worker_exn = None then t.worker_exn <- e;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.lock
+  in
+  for slot = 0 to nworkers - 1 do
+    Parking.run domains (fun () -> run_worker t slot) ~after:returned
+  done;
   t
 
 let submit ?(weight = 1.) t =
@@ -296,7 +312,9 @@ let shutdown t =
     Atomic.set t.shutdown_flag true;
     List.iter (fun sv -> Atomic.set sv.stop_flag true) t.solves;
     Condition.broadcast t.cond;
+    while t.workers > 0 do
+      Condition.wait t.cond t.lock
+    done;
     Mutex.unlock t.lock;
-    List.iter Domain.join t.domains;
-    t.domains <- []
+    Option.iter raise t.worker_exn
   end

@@ -52,8 +52,10 @@ type handle
 (** One registered solve. *)
 
 val create : nworkers:int -> t
-(** Spawn [nworkers >= 1] worker domains, idle until a solve is
-    submitted.  @raise Invalid_argument on [nworkers < 1]. *)
+(** Start [nworkers >= 1] worker domains, idle until a solve is
+    submitted.  Domains parked by an earlier {!shutdown} are taken
+    first; only the rest are spawned.
+    @raise Invalid_argument on [nworkers < 1]. *)
 
 val nworkers : t -> int
 
@@ -97,6 +99,12 @@ val await : handle -> unit
     backtrace, the first exception any of its tasks raised. *)
 
 val shutdown : t -> unit
-(** Stop every registered solve, wake and join all worker domains.
-    Idempotent; {!submit} afterwards raises.  Pending {!await} calls
-    return once their running tasks finish. *)
+(** Stop every registered solve, wake the worker domains and wait until
+    each has left this pool.  The domains are not joined but parked for
+    the next {!create} in the process, so successive pools reuse their
+    minor heaps, per-domain scratch and malloc arenas; a parked domain
+    sleeps on a condition variable and still takes part in the
+    stop-the-world phases of the garbage collector.  Idempotent;
+    {!submit} afterwards raises.  Pending {!await} calls return once
+    their running tasks finish.  Re-raises the first exception a worker
+    loop raised (tasks' own exceptions go to {!await}). *)

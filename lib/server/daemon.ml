@@ -370,6 +370,10 @@ let conn_main t conn =
   Mutex.unlock t.d_lock;
   try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
+(* Connection handlers, parked between connections and kept across
+   daemons in the process (see Milp.Parking). *)
+let handlers = Milp.Parking.create ~spawn:(fun f -> ignore (Thread.create f ()))
+
 let accept_loop t =
   while not (Atomic.get t.d_stop) do
     match Unix.select [ t.d_sock ] [] [] 0.2 with
@@ -384,7 +388,11 @@ let accept_loop t =
             t.d_open <- conn :: t.d_open;
             t.d_nconns <- t.d_nconns + 1;
             Mutex.unlock t.d_lock;
-            ignore (Thread.create (fun () -> conn_main t conn) ()))
+            Milp.Parking.run handlers
+              (fun () -> conn_main t conn)
+              ~after:
+                (Option.iter (fun e ->
+                     Printf.eprintf "[archexd] connection handler raised %s\n%!" (Printexc.to_string e))))
   done
 
 let drain t =

@@ -434,6 +434,71 @@ let test_sched_stop_discards_queued () =
       Alcotest.(check bool) "stopped" true (Scheduler.stopped h);
       Alcotest.(check int) "queued nodes were never run" 0 (Atomic.get ran))
 
+(* Successive pools run on the same parked domains: the domains that
+   ran any task across three pools, one created after the other's
+   shutdown, are at most the two of one pool. *)
+let test_sched_pools_reuse_domains () =
+  let ids = ref [] and m = Mutex.create () in
+  for _ = 1 to 3 do
+    with_pool 2 (fun s ->
+        let h = Scheduler.submit s in
+        for i = 1 to 8 do
+          Scheduler.push h ~worker:i (float_of_int i) (fun _ ->
+              let id = (Domain.self () :> int) in
+              Mutex.lock m;
+              if not (List.mem id !ids) then ids := id :: !ids;
+              Mutex.unlock m;
+              Thread.delay 0.001)
+        done;
+        Scheduler.await h)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains ran tasks" (List.length !ids))
+    true
+    (List.length !ids >= 1 && List.length !ids <= 2)
+
+(* A parked worker serves the next job, survives a job that raises
+   (handing the exception to [after]), and a second worker is spawned
+   only while the first is busy. *)
+let test_parking_reuses_workers () =
+  let spawned = Atomic.make 0 in
+  let lot =
+    Parking.create ~spawn:(fun f ->
+        Atomic.incr spawned;
+        ignore (Thread.create f ()))
+  in
+  let start job =
+    let m = Mutex.create () and c = Condition.create () and result = ref None in
+    Parking.run lot job ~after:(fun e ->
+        Mutex.lock m;
+        result := Some e;
+        Condition.signal c;
+        Mutex.unlock m);
+    fun () ->
+      Mutex.lock m;
+      while !result = None do
+        Condition.wait c m
+      done;
+      Mutex.unlock m;
+      Option.get !result
+  in
+  let run job = start job () in
+  let who = ref [] in
+  let record () = who := Thread.id (Thread.self ()) :: !who in
+  ignore (run record);
+  (match run (fun () -> failwith "boom") with
+  | Some (Failure msg) -> Alcotest.(check string) "exception handed to after" "boom" msg
+  | _ -> Alcotest.fail "after must receive the job's exception");
+  ignore (run record);
+  Alcotest.(check int) "one worker for sequential jobs" 1 (Atomic.get spawned);
+  Alcotest.(check int) "the same thread ran both" 1 (List.length (List.sort_uniq compare !who));
+  let gate = Atomic.make false in
+  let first = start (fun () -> while not (Atomic.get gate) do Thread.yield () done) in
+  let second = start (fun () -> Atomic.set gate true) in
+  ignore (second ());
+  ignore (first ());
+  Alcotest.(check int) "a second worker while the first is busy" 2 (Atomic.get spawned)
+
 let test_sched_steals_infinite_key () =
   (* A sequential chain's last task is queued with key [infinity].  It
      must still be visible to an idle worker and stealable, or the
@@ -909,6 +974,9 @@ let () =
             test_sched_steals_infinite_key;
           Alcotest.test_case "stop discards queued nodes" `Quick
             test_sched_stop_discards_queued;
+          Alcotest.test_case "successive pools reuse parked domains" `Quick
+            test_sched_pools_reuse_domains;
+          Alcotest.test_case "parked workers serve the next job" `Quick test_parking_reuses_workers;
         ] );
       ( "bb_scheduler",
         [
