@@ -426,7 +426,7 @@ let figure1a inst =
 
 let figure1b inst (sol : Solution.t) =
   let sc = scene_of inst in
-  List.iter
+  Array.iter
     (fun (i, j) ->
       let a = (Template.node inst.Instance.template i).Template.loc in
       let b = (Template.node inst.Instance.template j).Template.loc in
@@ -435,7 +435,7 @@ let figure1b inst (sol : Solution.t) =
            ( Geometry.Segment.make a b,
              { Geometry.Svg.default_style with stroke = "#2266cc"; stroke_width = 1.5 } )))
     sol.Solution.active_edges;
-  draw_nodes sc inst (fun i -> List.mem i sol.Solution.used_nodes);
+  draw_nodes sc inst (fun i -> Array.mem i sol.Solution.used_nodes);
   Geometry.Svg.write_file "fig1b.svg" sc;
   Format.printf "wrote fig1b.svg (synthesized data-collection topology)@."
 
@@ -450,7 +450,7 @@ let figure1c inst (sol : Solution.t) =
                (pt, 0.25, { Geometry.Svg.default_style with stroke = "#888"; fill = "#ccc" })))
         loc.Requirements.eval_points
   | None -> ());
-  draw_nodes sc inst (fun i -> List.mem i sol.Solution.used_nodes);
+  draw_nodes sc inst (fun i -> Array.mem i sol.Solution.used_nodes);
   Geometry.Svg.write_file "fig1c.svg" sc;
   Format.printf "wrote fig1c.svg (evaluation points + synthesized anchor placement)@."
 

@@ -224,14 +224,14 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
       | Some sol ->
           Format.printf "@.%a@." (Archex.Solution.pp_summary inst) sol;
           Format.printf "@.Component mapping:@.";
-          List.iter
+          Array.iter
             (fun (i, c) ->
               Format.printf "  %-10s -> %s@."
                 (Archex.Template.node inst.Archex.Instance.template i).Archex.Template.name
                 c.Components.Component.name)
             sol.Archex.Solution.devices;
           Format.printf "@.Routes:@.";
-          List.iter
+          Array.iter
             (fun rr ->
               Format.printf "  %d.%d: %a@." rr.Archex.Solution.rr_req
                 rr.Archex.Solution.rr_replica Netgraph.Path.pp rr.Archex.Solution.rr_path)
@@ -251,7 +251,7 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
               let h = match plan with Some p -> Geometry.Floorplan.height p | None -> 100. in
               let sc = Geometry.Svg.scene ~width:w ~height:h in
               Option.iter (Geometry.Svg.add_floorplan sc) plan;
-              List.iter
+              Array.iter
                 (fun (i, j) ->
                   let a = (Archex.Template.node template i).Archex.Template.loc in
                   let b = (Archex.Template.node template j).Archex.Template.loc in
@@ -266,7 +266,7 @@ let main spec_file library_file plan_file kstar loc_kstar full time_limit gap sw
                 sol.Archex.Solution.active_edges;
               Array.iteri
                 (fun i (n : Archex.Template.node) ->
-                  let used = List.mem i sol.Archex.Solution.used_nodes in
+                  let used = Array.mem i sol.Archex.Solution.used_nodes in
                   let fill =
                     match (n.Archex.Template.role, used) with
                     | Components.Component.Sensor, _ -> "#2a2"

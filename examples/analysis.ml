@@ -34,7 +34,7 @@ let () =
   in
   Format.printf "Synthesized: %d nodes, $%.0f, %d routes@.@." sol.Archex.Solution.node_count
     sol.Archex.Solution.dollar_cost
-    (List.length sol.Archex.Solution.routes);
+    (Array.length sol.Archex.Solution.routes);
 
   (* --- Fault resiliency --------------------------------------------- *)
   Format.printf "Single-link failures:@.";

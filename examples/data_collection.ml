@@ -60,7 +60,7 @@ let draw inst (sol : Archex.Solution.t) =
   let sc = Geometry.Svg.scene ~width:w ~height:h in
   Option.iter (Geometry.Svg.add_floorplan sc) plan;
   (* Active links. *)
-  List.iter
+  Array.iter
     (fun (i, j) ->
       let a = (Archex.Template.node template i).Archex.Template.loc in
       let b = (Archex.Template.node template j).Archex.Template.loc in
@@ -73,7 +73,7 @@ let draw inst (sol : Archex.Solution.t) =
      candidates hollow grey. *)
   Array.iteri
     (fun i (n : Archex.Template.node) ->
-      let used = List.mem i sol.Archex.Solution.used_nodes in
+      let used = Array.mem i sol.Archex.Solution.used_nodes in
       let style =
         match n.Archex.Template.role with
         | Components.Component.Sensor ->

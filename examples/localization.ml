@@ -65,7 +65,7 @@ let draw inst (sol : Archex.Solution.t) =
   | None -> ());
   Array.iteri
     (fun i (n : Archex.Template.node) ->
-      let used = List.mem i sol.Archex.Solution.used_nodes in
+      let used = Array.mem i sol.Archex.Solution.used_nodes in
       let style =
         if used then { Geometry.Svg.default_style with fill = "#26c"; stroke = "#136" }
         else { Geometry.Svg.default_style with fill = "none"; stroke = "#bbb" }

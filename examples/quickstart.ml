@@ -56,13 +56,13 @@ let () =
 
   (* 6. Inspect the result. *)
   Format.printf "%a@.@." (Archex.Solution.pp_summary inst) sol;
-  List.iter
+  Array.iter
     (fun (i, c) ->
       Format.printf "  %-5s -> %s@."
         (Archex.Template.node template i).Archex.Template.name
         c.Components.Component.name)
     sol.Archex.Solution.devices;
-  List.iter
+  Array.iter
     (fun rr ->
       Format.printf "  route %d: %a@." rr.Archex.Solution.rr_req Netgraph.Path.pp
         rr.Archex.Solution.rr_path)

@@ -14,7 +14,7 @@ let path_avoids fault path =
 
 let route_survives (sol : Solution.t) ~req fault =
   let replicas =
-    List.filter (fun rr -> rr.Solution.rr_req = req) sol.Solution.routes
+    List.filter (fun rr -> rr.Solution.rr_req = req) (Array.to_list sol.Solution.routes)
   in
   replicas <> [] && List.exists (fun rr -> path_avoids fault rr.Solution.rr_path) replicas
 
@@ -33,12 +33,13 @@ let single_node_faults inst sol =
   let candidates =
     List.filter
       (fun i -> not (Template.node inst.Instance.template i).Template.fixed)
-      sol.Solution.used_nodes
+      (Array.to_list sol.Solution.used_nodes)
   in
   List.map (fun i -> analyze inst sol (Node_failure i)) candidates
 
 let single_link_faults inst sol =
-  List.map (fun (u, v) -> analyze inst sol (Link_failure (u, v))) sol.Solution.active_edges
+  List.map (fun (u, v) -> analyze inst sol (Link_failure (u, v)))
+    (Array.to_list sol.Solution.active_edges)
 
 let worst_case_survival reports =
   List.fold_left

@@ -49,7 +49,7 @@ let run ?(params = default_params) inst (sol : Solution.t) =
     List.map
       (fun rr ->
         List.map (fun (i, j) -> (i, j, hop_psr inst sol i j)) (Netgraph.Path.edges rr.Solution.rr_path))
-      sol.Solution.routes
+      (Array.to_list sol.Solution.routes)
   in
   for _ = 1 to params.periods do
     List.iter
@@ -107,7 +107,7 @@ let run ?(params = default_params) inst (sol : Solution.t) =
           ns_charge_mas = charge;
           ns_lifetime_years = life;
         })
-      sol.Solution.devices
+      (Array.to_list sol.Solution.devices)
   in
   let min_lifetime =
     List.fold_left

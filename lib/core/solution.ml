@@ -6,27 +6,29 @@ type route_result = { rr_req : int; rr_replica : int; rr_path : Path.t }
 
 type t = {
   mip : BB.result;
-  used_nodes : int list;
-  devices : (int * Comp.t) list;
-  active_edges : (int * int) list;
-  routes : route_result list;
+  used_nodes : int array;
+  devices : (int * Comp.t) array;
+  active_edges : (int * int) array;
+  routes : route_result array;
   dollar_cost : float;
   node_count : int;
-  avg_current_ma : (int * float) list;
-  lifetimes_years : (int * float) list;
+  avg_current_ma : floatarray;
+  lifetimes_years : floatarray;
   reachable_counts : int array;
 }
 
-let device_of sol i = List.assoc_opt i sol.devices
+let find_device devices i = Option.map snd (Array.find_opt (fun (j, _) -> j = i) devices)
+
+let device_of sol i = find_device sol.devices i
 
 let is_sink inst i =
   (Template.node inst.Instance.template i).Template.role = Comp.Sink
 
 let lifetime_stats ?(exclude_sinks = true) inst sol agg =
   let values =
-    List.filter_map
-      (fun (i, y) -> if exclude_sinks && is_sink inst i then None else Some y)
-      sol.lifetimes_years
+    List.filteri
+      (fun k _ -> not (exclude_sinks && is_sink inst (fst sol.devices.(k))))
+      (Float.Array.to_list sol.lifetimes_years)
   in
   match values with [] -> infinity | _ -> agg values
 
@@ -42,7 +44,7 @@ let avg_reachable sol =
   if n = 0 then 0.
   else Array.fold_left (fun a c -> a +. float_of_int c) 0. sol.reachable_counts /. float_of_int n
 
-let total_avg_current_ma sol = List.fold_left (fun acc (_, c) -> acc +. c) 0. sol.avg_current_ma
+let total_avg_current_ma sol = Float.Array.fold_left ( +. ) 0. sol.avg_current_ma
 
 (* ------------------------------------------------------------------ *)
 (* Shared extraction: everything except the routes comes from the
@@ -66,9 +68,8 @@ let energy_metrics inst devices routes =
   let push tbl node link =
     Hashtbl.replace tbl node (link :: Option.value ~default:[] (Hashtbl.find_opt tbl node))
   in
-  let sol_stub = (* device lookup shim used before the record exists *)
-    fun i -> List.assoc_opt i devices
-  in
+  (* Device lookup before the record exists. *)
+  let sol_stub = find_device devices in
   let rss i j =
     let tx =
       match sol_stub i with Some c -> c.Comp.tx_power_dbm +. c.Comp.antenna_gain_dbi | None -> 0.
@@ -76,7 +77,7 @@ let energy_metrics inst devices routes =
     let rx = match sol_stub j with Some c -> c.Comp.antenna_gain_dbi | None -> 0. in
     -.inst.Instance.pl.(i).(j) +. tx +. rx
   in
-  List.iter
+  Array.iter
     (fun rr ->
       List.iter
         (fun (i, j) ->
@@ -95,7 +96,7 @@ let energy_metrics inst devices routes =
           | None -> ())
         (Path.edges rr.rr_path))
     routes;
-  List.map
+  Array.map
     (fun (i, c) ->
       let tx = Option.value ~default:[] (Hashtbl.find_opt tx_links i) in
       let rx = Option.value ~default:[] (Hashtbl.find_opt rx_links i) in
@@ -105,7 +106,7 @@ let energy_metrics inst devices routes =
         Energy.Lifetime.lifetime_s inst.Instance.battery ~avg_current_ma:avg_ma
         /. Energy.Lifetime.seconds_per_year
       in
-      (i, avg_ma, life))
+      (avg_ma, life))
     devices
 
 let reachability inst devices =
@@ -118,7 +119,7 @@ let reachability inst devices =
           List.length
             (List.filter
                (fun i ->
-                 match List.assoc_opt i devices with
+                 match find_device devices i with
                  | None -> false
                  | Some c ->
                      let pl =
@@ -139,32 +140,34 @@ let extract_base ctx (mip : BB.result) routes =
     if bin (Encode_common.node_use_var ctx i) then used := i :: !used
   done;
   let devices =
-    List.filter_map
-      (fun i ->
-        let chosen =
-          List.find_opt (fun (_, v) -> bin v) (Encode_common.sizing_vars ctx i)
-        in
-        Option.map (fun (c, _) -> (i, c)) chosen)
-      !used
+    Array.of_list
+      (List.filter_map
+         (fun i ->
+           let chosen =
+             List.find_opt (fun (_, v) -> bin v) (Encode_common.sizing_vars ctx i)
+           in
+           Option.map (fun (c, _) -> (i, c)) chosen)
+         !used)
   in
   let active_edges =
-    List.sort compare
-      (List.filter_map
-         (fun ((i, j), v) -> if bin v then Some (i, j) else None)
-         (Encode_common.edge_vars ctx))
+    Array.of_list
+      (List.sort compare
+         (List.filter_map
+            (fun ((i, j), v) -> if bin v then Some (i, j) else None)
+            (Encode_common.edge_vars ctx)))
   in
-  let dollar = List.fold_left (fun acc (_, c) -> acc +. c.Comp.cost) 0. devices in
+  let dollar = Array.fold_left (fun acc (_, c) -> acc +. c.Comp.cost) 0. devices in
   let energy = energy_metrics inst devices routes in
   {
     mip;
-    used_nodes = !used;
+    used_nodes = Array.of_list !used;
     devices;
     active_edges;
     routes;
     dollar_cost = dollar;
     node_count = List.length !used;
-    avg_current_ma = List.map (fun (i, ma, _) -> (i, ma)) energy;
-    lifetimes_years = List.map (fun (i, _, y) -> (i, y)) energy;
+    avg_current_ma = Float.Array.map_from_array fst energy;
+    lifetimes_years = Float.Array.map_from_array snd energy;
     reachable_counts = reachability inst devices;
   }
 
@@ -172,9 +175,9 @@ let of_approx (enc : Approx_encoding.t) mip =
   if mip.BB.solution = None then invalid_arg "Solution.of_approx: no incumbent";
   let bin v = BB.value mip v > 0.5 in
   let routes =
-    List.concat_map
+    Array.concat
+      (List.map
       (fun (sel : Approx_encoding.route_selection) ->
-        Array.to_list
           (Array.mapi
              (fun r svars ->
                let k = ref (-1) in
@@ -187,7 +190,7 @@ let of_approx (enc : Approx_encoding.t) mip =
                  rr_path = sel.Approx_encoding.pool.(!k);
                })
              sel.Approx_encoding.slots))
-      enc.Approx_encoding.selections
+      enc.Approx_encoding.selections)
   in
   extract_base enc.Approx_encoding.ctx mip routes
 
@@ -196,7 +199,8 @@ let of_full (enc : Full_encoding.t) mip =
   let bin v = BB.value mip v > 0.5 in
   let inst = Encode_common.instance enc.Full_encoding.ctx in
   let routes =
-    List.map
+    Array.of_list
+      (List.map
       (fun (pv : Full_encoding.path_vars) ->
         let succ = Hashtbl.create 8 in
         List.iter
@@ -217,7 +221,7 @@ let of_full (enc : Full_encoding.t) mip =
           rr_replica = pv.Full_encoding.replica;
           rr_path = follow [] route.Requirements.src 0;
         })
-      enc.Full_encoding.paths
+      enc.Full_encoding.paths)
   in
   extract_base enc.Full_encoding.ctx mip routes
 
@@ -231,7 +235,7 @@ let check inst sol =
   let reqs = inst.Instance.requirements in
   let routes_arr = Array.of_list reqs.Requirements.routes in
   (* Routes. *)
-  List.iter
+  Array.iter
     (fun rr ->
       let r = routes_arr.(rr.rr_req) in
       if not (Path.is_valid inst.Instance.graph rr.rr_path) then
@@ -258,7 +262,7 @@ let check inst sol =
   (* Replica counts and disjointness. *)
   Array.iteri
     (fun idx (r : Requirements.route) ->
-      let members = List.filter (fun rr -> rr.rr_req = idx) sol.routes in
+      let members = List.filter (fun rr -> rr.rr_req = idx) (Array.to_list sol.routes) in
       if List.length members <> r.Requirements.replicas then
         err "route %d: %d replicas extracted, %d required" idx (List.length members)
           r.Requirements.replicas;
@@ -276,7 +280,7 @@ let check inst sol =
     routes_arr;
   (* Link quality on every link of every route. *)
   let floor = inst.Instance.noise_dbm +. Instance.min_snr_db inst in
-  List.iter
+  Array.iter
     (fun rr ->
       List.iter
         (fun (i, j) ->
@@ -289,8 +293,9 @@ let check inst sol =
   (match reqs.Requirements.min_lifetime_years with
   | None -> ()
   | Some years ->
-      List.iter
-        (fun (i, y) ->
+      Float.Array.iteri
+        (fun k y ->
+          let i = fst sol.devices.(k) in
           if (not (is_sink inst i)) && y < years -. 1e-9 then
             err "node %d: lifetime %.2f y below requirement %.2f y" i y years)
         sol.lifetimes_years);
@@ -307,10 +312,10 @@ let check inst sol =
   (* Sizing / fixed nodes. *)
   Array.iteri
     (fun i (n : Template.node) ->
-      if n.Template.fixed && not (List.mem i sol.used_nodes) then
+      if n.Template.fixed && not (Array.mem i sol.used_nodes) then
         err "fixed node %d (%s) unused" i n.Template.name)
     (Template.nodes inst.Instance.template);
-  List.iter
+  Array.iter
     (fun (i, (c : Comp.t)) ->
       if c.Comp.role <> (Template.node inst.Instance.template i).Template.role then
         err "node %d: device role mismatch" i)
@@ -322,4 +327,4 @@ let pp_summary inst ppf sol =
     "@[<v>status: %s@ nodes: %d@ cost: $%.0f@ avg lifetime: %.2f y@ avg current: %.3f mA@ routes: %d@ reachable: %.2f@]"
     (Milp.Status.mip_status_to_string sol.mip.BB.status)
     sol.node_count sol.dollar_cost (avg_lifetime_years inst sol) (total_avg_current_ma sol)
-    (List.length sol.routes) (avg_reachable sol)
+    (Array.length sol.routes) (avg_reachable sol)

@@ -9,16 +9,20 @@ type route_result = {
   rr_path : Netgraph.Path.t;
 }
 
+(** An outcome keeps its solution for as long as it is kept, so the
+    per-node and per-route collections are arrays: a slot per element
+    where a list spends a cell, and floats unboxed. *)
 type t = {
   mip : Milp.Branch_bound.result;
-  used_nodes : int list;  (** Template indices, ascending. *)
-  devices : (int * Components.Component.t) list;  (** Node -> device. *)
-  active_edges : (int * int) list;
-  routes : route_result list;
+  used_nodes : int array;  (** Template indices, ascending. *)
+  devices : (int * Components.Component.t) array;
+      (** Node -> device, by ascending node: the used nodes given one. *)
+  active_edges : (int * int) array;  (** Ascending. *)
+  routes : route_result array;
   dollar_cost : float;
   node_count : int;
-  avg_current_ma : (int * float) list;  (** Per used node. *)
-  lifetimes_years : (int * float) list;  (** Per used node. *)
+  avg_current_ma : floatarray;  (** Per entry of [devices]. *)
+  lifetimes_years : floatarray;  (** Per entry of [devices]. *)
   reachable_counts : int array;
       (** Localization: per evaluation point, # used anchors whose
           recomputed RSS meets the threshold. *)

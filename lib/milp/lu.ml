@@ -419,11 +419,13 @@ let assemble s ~m ~colp ~coli ~colv basis =
   s.bp.(m) <- !top
 
 (* Right-looking elimination of the assembled B.  Each active column is
-   a run of the [pi]/[pv] pool; a column rewritten by a pivot row is
-   appended at the pool's end, and a full pool is compacted into
-   [pi2]/[pv2] (then the two swap).  Each row keeps the columns that
-   ever held it as a linked list of nodes, newest first — a superset
-   hint, as stale entries miss on the scan.
+   a run of the [pi]/[pv] pool.  A pivot with an empty L column (a
+   column singleton) deletes its row from each column holding it in
+   place; any other pivot rewrites each such column, with its fill-in,
+   at the pool's end, and a full pool is compacted into [pi2]/[pv2]
+   (then the two swap).  Each row keeps the columns that ever held it
+   as a linked list of nodes, newest first — a superset hint, as stale
+   entries miss on the scan.
 
    Pivot rule and entry order, on which the factors' bits depend:
    - a rewritten column keeps its surviving old entries in their order,
@@ -684,9 +686,11 @@ let eliminate s ~m ~prow ~pcol ~udiag ~lp ~up =
     done;
     ccount.(pc) <- 0;
     Bytes.set coldone pc '\001';
-    (* Eliminate the pivot row out of every active column carrying it,
-       each through the dense accumulator so fill-in lands in one
-       pass.  Old entries are stamped [st], fill-ins [st + 1]. *)
+    (* Eliminate the pivot row out of every active column carrying it.
+       With an empty L column that only deletes the row, in place.
+       Otherwise the column goes through the dense accumulator so
+       fill-in lands in one pass; old entries are stamped [st],
+       fill-ins [st + 1]. *)
     up.(step) <- !utop;
     let nd = ref rhead.(pr) in
     while !nd >= 0 do
@@ -712,56 +716,76 @@ let eliminate s ~m ~prow ~pcol ~udiag ~lp ~up =
           s.uc.(!utop) <- c;
           s.ux.(!utop) <- u;
           incr utop;
-          if !pend + nent + (l1 - l0) > Array.length s.pi then compact (nent + l1 - l0);
-          let pi = s.pi and pv = s.pv in
-          let e0 = cstart.(c) in
-          stamp := !stamp + 2;
-          let st = !stamp in
-          for e = e0 to e0 + nent - 1 do
-            let r = pi.(e) in
-            if r <> pr then begin
-              amark.(r) <- st;
-              acc.(r) <- pv.(e)
-            end
-          done;
-          for e = l0 to l1 - 1 do
-            let lr = s.lr.(e) in
-            let delta = s.lx.(e) *. u in
-            if amark.(lr) = st then acc.(lr) <- acc.(lr) -. delta
-            else begin
-              amark.(lr) <- st + 1;
-              acc.(lr) <- -.delta;
-              add_node lr c
-            end
-          done;
-          let n0 = !pend in
-          let top = ref n0 in
-          for e = e0 to e0 + nent - 1 do
-            let r = pi.(e) in
-            if r <> pr && Float.abs acc.(r) > drop_tol then begin
-              pi.(!top) <- r;
-              pv.(!top) <- acc.(r);
-              incr top
-            end
-          done;
-          for e = l0 to l1 - 1 do
-            let lr = s.lr.(e) in
-            if amark.(lr) = st + 1 && Float.abs acc.(lr) > drop_tol then begin
-              pi.(!top) <- lr;
-              pv.(!top) <- acc.(lr);
-              incr top
-            end
-          done;
-          pend := !top;
-          for e = n0 to !top - 1 do
-            let r = pi.(e) in
-            rcount.(r) <- rcount.(r) + 1
-          done;
-          for e = e0 to e0 + nent - 1 do
-            dec_row pi.(e)
-          done;
-          cstart.(c) <- n0;
-          ccount.(c) <- !top - n0;
+          if l1 = l0 then begin
+            (* The rewrite below would keep every other entry with its
+               own value and in its order, dropping those at or under
+               the tolerance; do exactly that where the column lies.
+               Kept rows keep their counts. *)
+            let pi = s.pi and pv = s.pv in
+            let top = ref e0 in
+            for e = e0 to e0 + nent - 1 do
+              let r = pi.(e) and v = pv.(e) in
+              if r <> pr && Float.abs v > drop_tol then begin
+                pi.(!top) <- r;
+                pv.(!top) <- v;
+                incr top
+              end
+              else dec_row r
+            done;
+            ccount.(c) <- !top - e0
+          end
+          else begin
+            if !pend + nent + (l1 - l0) > Array.length s.pi then compact (nent + l1 - l0);
+            let pi = s.pi and pv = s.pv in
+            let e0 = cstart.(c) in
+            stamp := !stamp + 2;
+            let st = !stamp in
+            for e = e0 to e0 + nent - 1 do
+              let r = pi.(e) in
+              if r <> pr then begin
+                amark.(r) <- st;
+                acc.(r) <- pv.(e)
+              end
+            done;
+            for e = l0 to l1 - 1 do
+              let lr = s.lr.(e) in
+              let delta = s.lx.(e) *. u in
+              if amark.(lr) = st then acc.(lr) <- acc.(lr) -. delta
+              else begin
+                amark.(lr) <- st + 1;
+                acc.(lr) <- -.delta;
+                add_node lr c
+              end
+            done;
+            let n0 = !pend in
+            let top = ref n0 in
+            for e = e0 to e0 + nent - 1 do
+              let r = pi.(e) in
+              if r <> pr && Float.abs acc.(r) > drop_tol then begin
+                pi.(!top) <- r;
+                pv.(!top) <- acc.(r);
+                incr top
+              end
+            done;
+            for e = l0 to l1 - 1 do
+              let lr = s.lr.(e) in
+              if amark.(lr) = st + 1 && Float.abs acc.(lr) > drop_tol then begin
+                pi.(!top) <- lr;
+                pv.(!top) <- acc.(lr);
+                incr top
+              end
+            done;
+            pend := !top;
+            for e = n0 to !top - 1 do
+              let r = pi.(e) in
+              rcount.(r) <- rcount.(r) + 1
+            done;
+            for e = e0 to e0 + nent - 1 do
+              dec_row pi.(e)
+            done;
+            cstart.(c) <- n0;
+            ccount.(c) <- !top - n0
+          end;
           push c
         end
       end

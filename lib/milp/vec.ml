@@ -197,32 +197,144 @@ module Uint = struct
     done
 end
 
-(* Strings laid end to end in one [Bytes.t]; [ends.(i)] is where
-   string [i] stops. *)
+(* Non-negative ints as LEB128 varints in one [Bytes.t]: seven bits a
+   byte, low bits first, the high bit set on every byte but the last.
+   Values under 128 take one byte, under 16,384 two. *)
+module Varints = struct
+  type t = { mutable data : Bytes.t; mutable used : int }
+
+  let create () = { data = Bytes.empty; used = 0 }
+
+  let length v = v.used
+
+  let reserve v n =
+    if v.used + n > Bytes.length v.data then begin
+      let data = Bytes.create (Int.max (v.used + n) (Int.max 64 (2 * Bytes.length v.data))) in
+      Bytes.blit v.data 0 data 0 v.used;
+      v.data <- data
+    end
+
+  let add_last v x =
+    if x < 0 then invalid_arg (Printf.sprintf "Vec.Varints.add_last: value %d out of range" x);
+    reserve v 10;
+    let x = ref x in
+    while !x >= 0x80 do
+      Bytes.unsafe_set v.data v.used (Char.unsafe_chr (!x land 0x7f lor 0x80));
+      v.used <- v.used + 1;
+      x := !x lsr 7
+    done;
+    Bytes.unsafe_set v.data v.used (Char.unsafe_chr !x);
+    v.used <- v.used + 1
+
+  let check v pos op =
+    if pos < 0 || pos >= v.used then
+      invalid_arg (Printf.sprintf "Vec.Varints.%s: offset %d out of range [0, %d)" op pos v.used)
+
+  let get v pos =
+    check v pos "get";
+    let x = ref 0 and shift = ref 0 and p = ref pos in
+    while Bytes.get_uint8 v.data !p >= 0x80 do
+      x := !x lor ((Bytes.get_uint8 v.data !p land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      incr p
+    done;
+    !x lor (Bytes.get_uint8 v.data !p lsl !shift)
+
+  let next v pos =
+    check v pos "next";
+    let p = ref pos in
+    while Bytes.get_uint8 v.data !p >= 0x80 do
+      incr p
+    done;
+    !p + 1
+
+  let append_sub dst src pos len =
+    reserve dst len;
+    Bytes.blit src.data pos dst.data dst.used len;
+    dst.used <- dst.used + len
+
+  let add_substring v s pos n =
+    reserve v n;
+    Bytes.blit_string s pos v.data v.used n;
+    v.used <- v.used + n
+
+  let sub_string v pos len = Bytes.sub_string v.data pos len
+
+  let trim v = if Bytes.length v.data > v.used then v.data <- Bytes.sub v.data 0 v.used
+end
+
+(* Front-coded strings in one [Bytes.t]: each entry is a header, then
+   the bytes of the string past the prefix it shares with the previous
+   one.  The header is the LEB128 varint [2 * rest + shares], where
+   [rest] is the number of those bytes and [shares] is 1 when a second
+   varint, the shared prefix's length, follows.  Every [restart]-th
+   entry shares nothing, and [restarts] holds its offset, so [get]
+   decodes at most [restart] entries.  Names of one kind come in runs
+   ("map_relay-lp_r4", "map_relay-lp_r5", ...), which this stores in
+   about two thirds of their bytes; an empty string takes one byte. *)
 module Str = struct
-  type t = { mutable chars : Bytes.t; mutable used : int; ends : Uint.t }
+  type t = {
+    buf : Varints.t;
+    mutable len : int;
+    restarts : Uint.t;
+    mutable last : string;  (* The previous entry, or a string sharing no prefix with it. *)
+  }
 
-  let create () = { chars = Bytes.empty; used = 0; ends = Uint.create () }
+  let restart = 16
 
-  let length v = Uint.length v.ends
+  let create () = { buf = Varints.create (); len = 0; restarts = Uint.create (); last = "" }
+
+  let length v = v.len
 
   let get v i =
-    let stop = Uint.get v.ends i in
-    let start = if i = 0 then 0 else Uint.get v.ends (i - 1) in
-    Bytes.sub_string v.chars start (stop - start)
+    if i < 0 || i >= v.len then
+      invalid_arg (Printf.sprintf "Vec.Str.get: index %d out of range [0, %d)" i v.len);
+    let b = Buffer.create 32 in
+    let pos = ref (Uint.get v.restarts (i / restart)) in
+    for _ = i / restart * restart to i do
+      let h = Varints.get v.buf !pos in
+      pos := Varints.next v.buf !pos;
+      let keep =
+        if h land 1 = 0 then 0
+        else begin
+          let k = Varints.get v.buf !pos in
+          pos := Varints.next v.buf !pos;
+          k
+        end
+      in
+      let n = h lsr 1 in
+      Buffer.truncate b keep;
+      Buffer.add_string b (Varints.sub_string v.buf !pos n);
+      pos := !pos + n
+    done;
+    Buffer.contents b
 
   let add_last v s =
     let n = String.length s in
-    if v.used + n > Bytes.length v.chars then begin
-      let chars = Bytes.create (Int.max (v.used + n) (Int.max 64 (2 * Bytes.length v.chars))) in
-      Bytes.blit v.chars 0 chars 0 v.used;
-      v.chars <- chars
-    end;
-    Bytes.blit_string s 0 v.chars v.used n;
-    v.used <- v.used + n;
-    Uint.add_last v.ends v.used
+    let keep =
+      if v.len mod restart = 0 then begin
+        Uint.add_last v.restarts (Varints.length v.buf);
+        0
+      end
+      else begin
+        let l = v.last in
+        let k = ref 0 in
+        let lim = Int.min n (String.length l) in
+        while !k < lim && String.unsafe_get s !k = String.unsafe_get l !k do
+          incr k
+        done;
+        !k
+      end
+    in
+    Varints.add_last v.buf ((2 * (n - keep)) + if keep > 0 then 1 else 0);
+    if keep > 0 then Varints.add_last v.buf keep;
+    Varints.add_substring v.buf s keep (n - keep);
+    v.len <- v.len + 1;
+    v.last <- s
 
+  (* Dropping [last] only costs the next entry its shared prefix. *)
   let trim v =
-    if Bytes.length v.chars > v.used then v.chars <- Bytes.sub v.chars 0 v.used;
-    Uint.trim v.ends
+    Varints.trim v.buf;
+    Uint.trim v.restarts;
+    v.last <- ""
 end

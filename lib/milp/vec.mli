@@ -95,9 +95,43 @@ module Uint : sig
   val iter : (int -> unit) -> t -> unit
 end
 
-(** Growable vector of strings stored end to end in one buffer, with a
-    {!Uint} of end offsets: about one byte per character plus one to
-    four per string, against a block and a pointer per string. *)
+(** Growable stream of non-negative ints as LEB128 varints, addressed
+    by byte offset: a value under 128 takes one byte, under 16,384 two.
+    For sequences read in order, such as a packed model's terms. *)
+module Varints : sig
+  type t
+
+  val create : unit -> t
+
+  val length : t -> int
+  (** Bytes used. *)
+
+  val add_last : t -> int -> unit
+  (** @raise Invalid_argument on a negative value. *)
+
+  val get : t -> int -> int
+  (** The value whose encoding starts at the given offset. *)
+
+  val next : t -> int -> int
+  (** The offset just past the value starting at the given one. *)
+
+  val append_sub : t -> t -> int -> int -> unit
+  (** [append_sub dst src pos len] appends bytes [pos .. pos+len-1] of
+      [src], whole values, to [dst]. *)
+
+  val add_substring : t -> string -> int -> int -> unit
+  (** Raw bytes, for callers that frame them with their own lengths. *)
+
+  val sub_string : t -> int -> int -> string
+
+  val trim : t -> unit
+end
+
+(** Growable vector of strings, front-coded in one buffer: each string
+    stores only what it does not share with the previous one, plus one
+    or two length bytes, and every 16th string is stored whole so that
+    [get] decodes at most 16 entries.  Against a block and a pointer
+    per string, runs of similar names take a fraction of their bytes. *)
 module Str : sig
   type t
 
@@ -111,4 +145,5 @@ module Str : sig
   val add_last : t -> string -> unit
 
   val trim : t -> unit
+  (** Release the spare capacity; later appends grow it again. *)
 end

@@ -328,7 +328,7 @@ let test_solve_approx_small () =
   (match Solution.check inst sol with
   | Ok () -> ()
   | Error errs -> Alcotest.fail (String.concat "; " errs));
-  Alcotest.(check int) "both routes extracted" 2 (List.length sol.Solution.routes);
+  Alcotest.(check int) "both routes extracted" 2 (Array.length sol.Solution.routes);
   Alcotest.(check bool) "cost positive" true (sol.Solution.dollar_cost > 0.)
 
 let test_solve_full_matches_or_beats_approx () =
@@ -353,14 +353,14 @@ let test_solve_disjoint_replicas () =
   (match Solution.check inst sol with
   | Ok () -> ()
   | Error errs -> Alcotest.fail (String.concat "; " errs));
-  Alcotest.(check int) "four paths" 4 (List.length sol.Solution.routes);
+  Alcotest.(check int) "four paths" 4 (Array.length sol.Solution.routes);
   (* Check disjointness directly too. *)
   List.iter
     (fun req ->
       let paths =
         List.filter_map
           (fun rr -> if rr.Solution.rr_req = req then Some rr.Solution.rr_path else None)
-          sol.Solution.routes
+          (Array.to_list sol.Solution.routes)
       in
       match paths with
       | [ a; b ] ->
@@ -430,13 +430,17 @@ let test_solution_check_catches_bad_device () =
   let _, sol = run_ok inst (Solve.approx ~kstar:3 ()) in
   (* Corrupt the solution: claim a relay device on a sensor node. *)
   let bad_dev = Components.Library.find_exn Components.Library.builtin "relay-basic" in
-  let bad = { sol with Solution.devices = (0, bad_dev) :: List.remove_assoc 0 sol.Solution.devices } in
+  let bad =
+    { sol with Solution.devices = Array.map (fun (i, c) -> (i, if i = 0 then bad_dev else c)) sol.Solution.devices }
+  in
   Alcotest.(check bool) "role mismatch detected" true (Result.is_error (Solution.check inst bad))
 
 let test_solution_check_catches_missing_fixed () =
   let inst = small_instance () in
   let _, sol = run_ok inst (Solve.approx ~kstar:3 ()) in
-  let bad = { sol with Solution.used_nodes = List.filter (fun i -> i <> 0) sol.Solution.used_nodes } in
+  let bad =
+    { sol with Solution.used_nodes = Array.of_list (List.filter (fun i -> i <> 0) (Array.to_list sol.Solution.used_nodes)) }
+  in
   Alcotest.(check bool) "unused fixed node detected" true (Result.is_error (Solution.check inst bad))
 
 let test_solve_infeasible_reported () =
@@ -773,7 +777,7 @@ let test_localization_approx_full_parity () =
 let test_full_extraction_follows_path () =
   let inst = small_instance () in
   let _, sol = run_ok inst Solve.Full_enum in
-  List.iter
+  Array.iter
     (fun rr ->
       let r = List.nth inst.Instance.requirements.Requirements.routes rr.Solution.rr_req in
       Alcotest.(check (option int)) "starts at src" (Some r.Requirements.src)
@@ -827,14 +831,14 @@ let test_solve_three_replicas () =
       ~channel:Radio.Channel.log_distance_2_4ghz ~requirements:reqs ~objective:Objective.dollar ()
   in
   let _, sol = run_ok inst (Solve.approx ~kstar:9 ()) in
-  Alcotest.(check int) "three replicas" 3 (List.length sol.Solution.routes);
+  Alcotest.(check int) "three replicas" 3 (Array.length sol.Solution.routes);
   (match Solution.check inst sol with
   | Ok () -> ()
   | Error errs -> Alcotest.fail (String.concat "; " errs));
   (* Pairwise disjoint. *)
-  List.iteri
+  Array.iteri
     (fun i a ->
-      List.iteri
+      Array.iteri
         (fun j b ->
           if i < j then
             Alcotest.(check bool) "pairwise disjoint" true
@@ -868,7 +872,7 @@ let test_resilience_replicated_routes_survive () =
 let test_resilience_single_route_vulnerable () =
   let inst, sol = solved_small ~replicas:1 () in
   (* Killing the destination-side link of a route must lose it. *)
-  match sol.Solution.routes with
+  match Array.to_list sol.Solution.routes with
   | rr :: _ -> (
       match List.rev (Netgraph.Path.edges rr.Solution.rr_path) with
       | last_edge :: _ ->
@@ -920,13 +924,7 @@ let test_simulate_lifetime_consistent_with_analysis () =
      estimate (same physics, stochastic attempts vs ETX expectation). *)
   let inst, sol = solved_small () in
   let sim = Simulate.run inst sol in
-  let analytical =
-    List.fold_left
-      (fun acc (i, y) ->
-        let role = (Template.node inst.Instance.template i).Template.role in
-        if role = Components.Component.Sink then acc else Float.min acc y)
-      infinity sol.Solution.lifetimes_years
-  in
+  let analytical = Solution.min_lifetime_years inst sol in
   Alcotest.(check bool)
     (Printf.sprintf "simulated %.1f vs analytical %.1f" sim.Simulate.min_lifetime_years
        analytical)

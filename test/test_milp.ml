@@ -297,6 +297,54 @@ let test_warm_restart_textbook () =
   check_feq "warm x" 1. r1.Simplex.primal.(x);
   check_feq "warm y" 6. r1.Simplex.primal.(y)
 
+(* The textbook LP of [test_warm_restart_textbook]: max 3x + 5y under
+   x <= 4, 2y <= 12, 3x + 2y <= 18, optimal at (2, 6). *)
+let textbook_lp () =
+  let m = Model.create () in
+  let x = Model.add_var m "x" and y = Model.add_var m "y" in
+  Model.add_constr m (Lin.var x) Model.Le 4.;
+  Model.add_constr m (Lin.term 2. y) Model.Le 12.;
+  Model.add_constr m (Lin.of_list [ (3., x); (2., y) ]) Model.Le 18.;
+  Model.set_objective m Model.Maximize (Lin.of_list [ (3., x); (5., y) ]);
+  let p = Simplex.of_model m in
+  let n = p.Simplex.ncols in
+  (p, Array.init n (Model.var_lb m), Array.init n (Model.var_ub m))
+
+(* [f ()] and the BTRANs it made. *)
+let counting_btrans f =
+  Lu.reset_stats ();
+  Lu.set_stats_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Lu.set_stats_enabled false) f in
+  (r, (Lu.stats ()).Lu.s_btran_calls)
+
+let test_warm_optimal_refreshes_once () =
+  (* A restored basis that is already optimal: the reduced costs
+     refreshed at phase entry are the ones that confirm optimality, so
+     one BTRAN serves both. *)
+  let p, lb, ub = textbook_lp () in
+  let basis = Option.get (Simplex.solve p ~lb ~ub).Simplex.basis in
+  let r, btrans = counting_btrans (fun () -> Simplex.solve ~basis p ~lb ~ub) in
+  Alcotest.check lp_status "warm status" Status.Lp_optimal r.Simplex.status;
+  Alcotest.(check bool) "warm path taken" true (r.Simplex.warm = Simplex.Warm);
+  Alcotest.(check int) "no pivot" 0 r.Simplex.iterations;
+  check_feq "objective" (-36.) r.Simplex.objective;
+  Alcotest.(check int) "one BTRAN" 1 btrans
+
+let test_warm_pivot_refreshes_again () =
+  (* Max 5x + 3y from the (2, 6) basis takes primal pivots to (4, 3).
+     Each pivot's devex update makes one BTRAN; the phase-entry refresh
+     and the refresh confirming optimality after the last pivot make
+     one each.  No variable is boxed, so no iteration is a bound flip. *)
+  let p, lb, ub = textbook_lp () in
+  let basis = Option.get (Simplex.solve p ~lb ~ub).Simplex.basis in
+  let p' = { p with Simplex.obj = [| -5.; -3. |] } in
+  let r, btrans = counting_btrans (fun () -> Simplex.solve ~basis p' ~lb ~ub) in
+  Alcotest.check lp_status "warm status" Status.Lp_optimal r.Simplex.status;
+  Alcotest.(check bool) "warm path taken" true (r.Simplex.warm = Simplex.Warm);
+  Alcotest.(check bool) "pivots taken" true (r.Simplex.iterations > 0);
+  check_feq "objective" (-29.) r.Simplex.objective;
+  Alcotest.(check int) "BTRANs" (r.Simplex.iterations + 2) btrans
+
 let test_warm_detects_infeasible () =
   let m = Model.create () in
   let x = Model.add_var m ~ub:10. "x" in
@@ -1315,7 +1363,7 @@ let prop_model_rows_round_trip =
       ]
   in
   QCheck2.Test.make ~name:"model: rows read back after add_row, set_row and compact" ~count:200
-    (list_size (int_range 1 12) step) (fun steps ->
+    (list_size (int_range 1 40) step) (fun steps ->
       let m = Model.create () in
       for v = 0 to 7 do
         ignore (Model.add_var m (Printf.sprintf "v%d" v))
@@ -1708,6 +1756,48 @@ let prop_vec_roundtrip =
       List.iter (Vec.add_last v) xs;
       Array.to_list (Vec.to_array v) = xs && Vec.length v = List.length xs)
 
+(* [Vec.Varints]: every value reads back at the offset [next] leads
+   to, whatever its width (one byte under 128, up to ten for max_int). *)
+let prop_vec_varints_roundtrip =
+  QCheck2.Test.make ~name:"vec: Varints add_last/get/next round-trips" ~count:200
+    QCheck2.Gen.(list (oneof [ int_bound 200; int_bound 100_000; map (fun x -> x land max_int) int; return max_int ]))
+    (fun xs ->
+      let v = Vec.Varints.create () in
+      List.iter (Vec.Varints.add_last v) xs;
+      let pos = ref 0 in
+      let back =
+        List.map
+          (fun _ ->
+            let x = Vec.Varints.get v !pos in
+            pos := Vec.Varints.next v !pos;
+            x)
+          xs
+      in
+      back = xs && !pos = Vec.Varints.length v)
+
+(* Front-coded [Vec.Str]: every string reads back, across restart
+   points, shared prefixes of any length (past 127 bytes the lengths
+   take two varint bytes), empty strings and a [trim] mid-stream. *)
+let prop_vec_str_roundtrip =
+  let name =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun p k -> p ^ string_of_int k) (oneofl [ ""; "map_relay-lp_r"; "e_"; String.make 130 'x' ]) small_nat;
+          string_size ~gen:printable (int_bound 300);
+        ])
+  in
+  QCheck2.Test.make ~name:"vec: Str add_last/get round-trips" ~count:200
+    QCheck2.Gen.(pair (list name) small_nat)
+    (fun (xs, cut) ->
+      let v = Vec.Str.create () in
+      List.iteri
+        (fun i x ->
+          if i = cut then Vec.Str.trim v;
+          Vec.Str.add_last v x)
+        xs;
+      Vec.Str.length v = List.length xs && List.for_all2 ( = ) (List.init (List.length xs) (Vec.Str.get v)) xs)
+
 let test_vec_bounds () =
   let v = Vec.of_array [| 1; 2; 3 |] in
   Vec.set v 1 9;
@@ -2060,6 +2150,109 @@ let solve_bits m = function
 
 let lu_bits m cols = solve_bits m (Lu.factorize ~m (fun j -> cols.(j)))
 
+(* Bases whose elimination is mostly pivots with an empty L column: a
+   column singleton whose row only has to be deleted from the other
+   columns holding it.  [m] is in [8, 47] and positions are shuffled.
+   - [`Bordered]: an arrowhead.  Either one long column over every row
+     beside singletons on all rows but its own, or one border row held
+     by every column beside a home row each, with a corner column on
+     the border row alone (sometimes plus a few rows).
+   - [`Long]: two to five long columns, each over about half of the
+     rows, beside singleton columns on the rows no long column owns.
+   - [`Tiny]: [`Long] whose off-home entries are often of magnitude
+     at or near the drop tolerance (1e-13), some assembled from a
+     repeated row, so every deletion must drop exactly those.
+   A long column's own entry is sometimes under a tenth of its largest,
+   so it fails the pivot threshold until the singletons have deleted
+   the rest of the column. *)
+let structured_basis st family =
+  let int n = Random.State.int st n and bool () = Random.State.bool st in
+  let m = 8 + int 40 in
+  let signed v = if bool () then v else -.v in
+  let value () =
+    signed
+      (match int 4 with 0 -> 1. | 1 -> 2. | 2 -> 0.5 | _ -> 0.5 +. Random.State.float st 2.5)
+  in
+  let home_value () =
+    if bool () then signed (4. +. Random.State.float st 4.)
+    else signed (0.01 +. Random.State.float st 0.08)
+  in
+  let tiny () =
+    let t =
+      match int 8 with
+      | 0 -> 1e-13
+      | 1 -> Float.succ 1e-13
+      | 2 -> Float.pred 1e-13
+      | 3 -> 5e-14
+      | 4 -> 2e-13
+      | 5 -> 1e-15
+      | 6 -> 3e-13
+      | _ -> 1e-13 *. (0.5 +. Random.State.float st 1.)
+    in
+    if int 4 = 0 then
+      (* Assembled from a repeated row: 1 + (t - 1) lands within an
+         ulp of 1 of [t], on either side of the tolerance. *)
+      [ 1.; t -. 1. ]
+    else [ signed t ]
+  in
+  let rows = Array.init m Fun.id in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done
+  in
+  shuffle rows;
+  let single r = [| (r, value ()) |] in
+  let cols =
+    match family with
+    | `Bordered when bool () ->
+        let long = Array.init m (fun i -> (rows.(i), if i = 0 then home_value () else value ())) in
+        shuffle long;
+        Array.init m (fun i -> if i = 0 then long else single rows.(i))
+    | `Bordered ->
+        let border = rows.(0) in
+        let extra = if bool () then [] else List.init (1 + int 3) (fun _ -> (rows.(1 + int (m - 1)), value ())) in
+        Array.init m (fun i ->
+            if i = 0 then Array.of_list ((border, home_value ()) :: extra)
+            else if bool () then [| (rows.(i), value ()); (border, value ()) |]
+            else [| (border, value ()); (rows.(i), value ()) |])
+    | (`Long | `Tiny) as f ->
+        let k = 2 + int 4 in
+        Array.init m (fun i ->
+            if i >= k then single rows.(i)
+            else begin
+              let entries = ref [ (rows.(i), home_value ()) ] in
+              for j = 0 to m - 1 do
+                if j <> i && int 2 = 0 then
+                  if j < k then entries := (rows.(j), 0.1 *. value ()) :: !entries
+                  else if f = `Tiny && int 3 = 0 then
+                    List.iter (fun v -> entries := (rows.(j), v) :: !entries) (tiny ())
+                  else entries := (rows.(j), value ()) :: !entries
+              done;
+              let c = Array.of_list !entries in
+              shuffle c;
+              c
+            end)
+  in
+  shuffle cols;
+  (m, cols)
+
+(* Bit-identity guard over one [structured_basis] family: the digest of
+   every FTRAN and BTRAN of 120 fixed-seed bases, all regular. *)
+let check_lu_family family seed expected () =
+  let st = Random.State.make [| seed |] in
+  let bits =
+    List.init 120 (fun _ ->
+        let m, cols = structured_basis st family in
+        lu_bits m cols)
+  in
+  Alcotest.(check bool) "every basis factorizes" false (List.mem "none" bits);
+  let digest = Digest.to_hex (Digest.string (String.concat "" bits)) in
+  Alcotest.(check string) "digest of every solve's bits" expected digest
+
 (* The direct sum of two bases: a larger basis than either. *)
 let block_basis (m1, c1, _) (m2, c2, _) =
   let shift = Array.map (Array.map (fun (r, v) -> (r + m1, v))) c2 in
@@ -2392,6 +2585,10 @@ let () =
         [
           Alcotest.test_case "textbook re-solve" `Quick test_warm_restart_textbook;
           Alcotest.test_case "detects infeasible child" `Quick test_warm_detects_infeasible;
+          Alcotest.test_case "optimal restore refreshes once" `Quick
+            test_warm_optimal_refreshes_once;
+          Alcotest.test_case "a pivot forces the optimality refresh" `Quick
+            test_warm_pivot_refreshes_again;
           qt prop_warm_matches_cold;
         ] );
       ( "presolve",
@@ -2460,6 +2657,8 @@ let () =
           Alcotest.test_case "pqueue empty" `Quick test_pqueue_empty;
           qt prop_vec_roundtrip;
           Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
+          qt prop_vec_str_roundtrip;
+          qt prop_vec_varints_roundtrip;
           qt prop_vec_float_roundtrip;
           Alcotest.test_case "vec.float clear and bounds" `Quick test_vec_float_clear_and_bounds;
         ] );
@@ -2482,6 +2681,15 @@ let () =
             test_lu_scratch_grows_and_shrinks;
           Alcotest.test_case "factorize allocates only the factor" `Quick
             test_lu_factorize_allocates_the_factor;
+        ] );
+      ( "lu_bits",
+        [
+          Alcotest.test_case "factorize is bit-identical on bordered bases" `Quick
+            (check_lu_family `Bordered 20261018 "9b010baa62ab3d35e2582eda4a6dcb0e");
+          Alcotest.test_case "factorize is bit-identical on long columns under singletons" `Quick
+            (check_lu_family `Long 20261019 "677dc8d4e3a9cbf0713ee562e1ae3f3f");
+          Alcotest.test_case "factorize is bit-identical at the drop tolerance" `Quick
+            (check_lu_family `Tiny 20261020 "33ff876f9899afcbdd42ce32044c1503");
         ] );
       ( "kernel2",
         [
