@@ -174,9 +174,11 @@ let try_rounding p integer lb ub x tol =
 
 (* Cheap bound propagation at a node: fixes implied binaries (edge/use
    variables implied by a selection, sizing rows, …) before paying for
-   the LP.  Returns None when propagation proves the node infeasible. *)
-let propagate p integer lb ub =
-  match Presolve.run ~max_rounds:4 p ~integer ~lb ~ub with
+   the LP.  [rows] is the flat image of the problem's rows, built once
+   per problem.  Returns None when propagation proves the node
+   infeasible. *)
+let propagate rows integer lb ub =
+  match Presolve.run_flat ~max_rounds:4 rows ~integer ~lb ~ub with
   | Presolve.Proven_infeasible _ -> None
   | Presolve.Feasible { lb; ub; _ } -> Some (lb, ub)
 
@@ -208,7 +210,7 @@ let most_fractional integer x =
    objective when the dive bottoms out.  This is what finds the first
    incumbent on covering-style models whose leaves are never integral
    under plain best-first search. *)
-let dive (o : options) t ~ws ~deadline p integer lb0 ub0 (root : Simplex.result) max_lps =
+let dive (o : options) t ~ws ~deadline p rows integer lb0 ub0 (root : Simplex.result) max_lps =
   let n = p.Simplex.ncols in
   let lb = Array.copy lb0 and ub = Array.copy ub0 in
   let x = ref root.Simplex.primal in
@@ -231,7 +233,7 @@ let dive (o : options) t ~ws ~deadline p integer lb0 ub0 (root : Simplex.result)
           Array.blit slb 0 lb 0 n;
           Array.blit sub 0 ub 0 n
         in
-        match propagate p integer lb ub with
+        match propagate rows integer lb ub with
         | None ->
             restore ();
             false
@@ -418,6 +420,19 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
          snapshotted when k cuts were active can be grown to the current
          row set by appending the rows it is missing. *)
       let pref = ref p0 in
+      (* Flat row images for node propagation: one of [p0] for the whole
+         solve, and one of the working problem, built when a dive first
+         needs it after the last cut round changed the problem. *)
+      let p0_rows = Presolve.flatten p0 in
+      let pref_rows = ref (Some p0_rows) in
+      let working_rows () =
+        match !pref_rows with
+        | Some r -> r
+        | None ->
+            let r = Presolve.flatten !pref in
+            pref_rows := Some r;
+            r
+      in
       let cut_index = ref [||] in
       (* applied cut rows, append order *)
       let deadline = t0 +. options.time_limit in
@@ -427,6 +442,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         in
         applied_cuts := List.rev_append cs !applied_cuts;
         pref := Simplex.add_rows !pref rows;
+        pref_rows := None;
         cut_index :=
           Array.append !cut_index
             (Array.of_list (List.map (fun (c : Cuts.cut) -> c.Cuts.c_row) cs))
@@ -741,12 +757,13 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
          scheduler chain, the parallel ramp-up and the worker tasks.
          Only what differs between drives is a parameter: the tallies
          [t] and simplex workspace [ws] it books on, the working
-         problem [prob], the heuristic schedule [offsets] (worker slots
-         phase rounding and dives apart so domains probe different
-         parts of the tree), the [separate] step, the bound of every
-         other open node [open_bound ()], and where children are
-         [push]ed. *)
-      let process t ~ws ~prob ~offsets:(round_off, dive_off) ~separate ~open_bound ~push node =
+         problem [prob] and its flat rows [prob_rows ()], the heuristic
+         schedule [offsets] (worker slots phase rounding and dives apart
+         so domains probe different parts of the tree), the [separate]
+         step, the bound of every other open node [open_bound ()], and
+         where children are [push]ed. *)
+      let process t ~ws ~prob ~prob_rows ~offsets:(round_off, dive_off) ~separate ~open_bound
+          ~push node =
         t.t_nodes <- t.t_nodes + 1;
         (* Prune by bound before paying for the LP. *)
         if node.nbound >= (Atomic.get inc).i_obj -. options.abs_gap then
@@ -758,7 +775,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
               lb.(j) <- Float.max lb.(j) l;
               ub.(j) <- Float.min ub.(j) u)
             node.changes;
-          match if node.changes = [] then Some (lb, ub) else propagate p0 integer lb ub with
+          match if node.changes = [] then Some (lb, ub) else propagate p0_rows integer lb ub with
           | None -> () (* bound propagation proved the node infeasible *)
           | Some (lb, ub) -> (
               let basis = node_basis node.nbasis in
@@ -796,7 +813,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                         (Atomic.get inc).i_sol = None
                         || (t.t_nodes + dive_off) land 63 = 2
                       then begin
-                        match dive options t ~ws ~deadline prob integer lb ub r 200 with
+                        match dive options t ~ws ~deadline prob (prob_rows ()) integer lb ub r 200 with
                         | Some (y, yobj) -> improve y yobj
                         | None -> ()
                       end;
@@ -824,7 +841,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
         else begin
           (match Pqueue.pop queue with
           | Some (_, node) ->
-              process st ~ws:sws ~prob:pref ~offsets:(0, 0) ~separate
+              process st ~ws:sws ~prob:pref ~prob_rows:working_rows ~offsets:(0, 0) ~separate
                 ~open_bound:best_open_bound ~push:(Pqueue.push queue) node;
               if options.log && st.t_nodes mod 500 = 0 then
                 Log.info (fun f ->
@@ -918,7 +935,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
             (* Phase 2 — freeze the cut-augmented problem and hand the
                frontier to the scheduler, dealt round-robin so workers
                start in different subtrees. *)
-            let pw = ref !pref in
+            let pw = ref !pref and pw_rows = working_rows () in
             let h = Scheduler.submit sched in
             par_handle := Some h;
             let total_nodes = Atomic.make st.t_nodes in
@@ -951,7 +968,7 @@ let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
                 Scheduler.stop h
               end
               else begin
-                process wts.(slot) ~ws:wss.(slot) ~prob:pw
+                process wts.(slot) ~ws:wss.(slot) ~prob:pw ~prob_rows:(fun () -> pw_rows)
                   ~offsets:(slot, options.seed + (17 * slot))
                   ~separate:(fun _ _ ~lb:_ ~ub:_ -> ())
                   ~open_bound

@@ -75,6 +75,7 @@ let dummy_eta = { e_r = 0; e_d = 1.; e_i = [||]; e_v = FA.create 0 }
 type scratch = {
   busy : bool Atomic.t;
   mutable ws : float array;  (* step-space vector of a solve *)
+  mutable ws2 : float array;  (* second step-space vector of a paired BTRAN *)
   (* Factorization arrays, all of length >= the basis dimension. *)
   mutable acc : float array;  (* dense accumulator of a column rewrite *)
   mutable px : float array;  (* conditioning probe: B⁻¹·1 *)
@@ -107,7 +108,7 @@ type scratch = {
 }
 
 let new_scratch () =
-  { busy = Atomic.make false; ws = [||]; acc = [||]; px = [||]; pz = [||];
+  { busy = Atomic.make false; ws = [||]; ws2 = [||]; acc = [||]; px = [||]; pz = [||];
     amark = [||]; seen = [||]; rcount = [||]; ccount = [||]; cstart = [||];
     heap = [||]; rhead = [||]; rstep = [||]; posstep = [||]; bp = [||];
     coldone = Bytes.empty; inheap = Bytes.empty; bi = [||]; bv = [||];
@@ -141,6 +142,10 @@ let cap_f a n keep =
   end
 
 let ensure_solve s m = if Array.length s.ws < m then s.ws <- Array.make m 0.
+
+let ensure_solve2 s m =
+  ensure_solve s m;
+  if Array.length s.ws2 < m then s.ws2 <- Array.make m 0.
 
 let ensure_factorize s m =
   ensure_solve s m;
@@ -299,6 +304,75 @@ let btran_with t y x =
   done;
   count_solve c_btran c_btran_nnz x m
 
+(* [btran_with t y x; btran_with t y2 x2], bit for bit, in one sweep:
+   the eta and Lᵀ passes are gathers, so the two accumulator chains
+   share each walk over the indices; the Uᵀ pass scatters, and each
+   vector keeps its own [<> 0.] skip, so neither touches an entry
+   (signed zeros included) that its own solve would skip. *)
+let btran2_with t y y2 x x2 =
+  let c = t.core in
+  let m = t.m in
+  let lp = c.lp and li = c.li and lv = c.lv in
+  let up = c.up and ui = c.ui and uv = c.uv in
+  for q = t.neta - 1 downto 0 do
+    let e = t.etas.(q) in
+    let acc = ref x.(e.e_r) and acc2 = ref x2.(e.e_r) in
+    let ei = e.e_i and ev = e.e_v in
+    for k = 0 to Array.length ei - 1 do
+      let i = Array.unsafe_get ei k and v = FA.unsafe_get ev k in
+      acc := !acc -. (v *. x.(i));
+      acc2 := !acc2 -. (v *. x2.(i))
+    done;
+    x.(e.e_r) <- !acc /. e.e_d;
+    x2.(e.e_r) <- !acc2 /. e.e_d
+  done;
+  for k = 0 to m - 1 do
+    let p = c.pcol.(k) in
+    y.(k) <- x.(p);
+    y2.(k) <- x2.(p)
+  done;
+  for k = 0 to m - 1 do
+    let d = FA.unsafe_get c.udiag k in
+    let zk = y.(k) /. d and zk2 = y2.(k) /. d in
+    y.(k) <- zk;
+    y2.(k) <- zk2;
+    if zk <> 0. then begin
+      if zk2 <> 0. then
+        for e = up.(k) to up.(k + 1) - 1 do
+          let j = Array.unsafe_get ui e and u = FA.unsafe_get uv e in
+          y.(j) <- y.(j) -. (u *. zk);
+          y2.(j) <- y2.(j) -. (u *. zk2)
+        done
+      else
+        for e = up.(k) to up.(k + 1) - 1 do
+          let j = Array.unsafe_get ui e in
+          y.(j) <- y.(j) -. (FA.unsafe_get uv e *. zk)
+        done
+    end
+    else if zk2 <> 0. then
+      for e = up.(k) to up.(k + 1) - 1 do
+        let j = Array.unsafe_get ui e in
+        y2.(j) <- y2.(j) -. (FA.unsafe_get uv e *. zk2)
+      done
+  done;
+  for k = m - 1 downto 0 do
+    let acc = ref y.(k) and acc2 = ref y2.(k) in
+    for e = lp.(k) to lp.(k + 1) - 1 do
+      let i = Array.unsafe_get li e and l = FA.unsafe_get lv e in
+      acc := !acc -. (l *. y.(i));
+      acc2 := !acc2 -. (l *. y2.(i))
+    done;
+    y.(k) <- !acc;
+    y2.(k) <- !acc2
+  done;
+  for k = 0 to m - 1 do
+    let r = c.prow.(k) in
+    x.(r) <- y.(k);
+    x2.(r) <- y2.(k)
+  done;
+  count_solve c_btran c_btran_nnz x m;
+  count_solve c_btran c_btran_nnz x2 m
+
 let with_solve_scratch solve t x =
   let s = acquire () in
   match
@@ -313,6 +387,17 @@ let with_solve_scratch solve t x =
 let ftran t x = with_solve_scratch ftran_with t x
 
 let btran t x = with_solve_scratch btran_with t x
+
+let btran2 t x x2 =
+  let s = acquire () in
+  match
+    ensure_solve2 s t.m;
+    btran2_with t s.ws s.ws2 x x2
+  with
+  | () -> release s
+  | exception e ->
+      release s;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Eta updates                                                         *)
@@ -556,11 +641,15 @@ let eliminate s ~m ~prow ~pcol ~udiag ~lp ~up =
   (* Row counts only fall here; a row whose count reaches 1 may have
      made its last column eligible.  A rewritten column adds its new
      entries to the counts before removing its old ones, so a row it
-     keeps never passes through 1 on the way. *)
+     keeps never passes through 1 on the way.  The current pivot row
+     [cur] is the exception: it is leaving every active column in this
+     step, so its count reaching 1 makes nothing eligible and its
+     columns are not walked. *)
+  let cur = ref (-1) in
   let dec_row r =
     let n = rcount.(r) - 1 in
     rcount.(r) <- n;
-    if n = 1 then begin
+    if n = 1 && r <> !cur then begin
       let nd = ref rhead.(r) in
       while !nd >= 0 do
         let c = s.rn_col.(!nd) in
@@ -663,6 +752,7 @@ let eliminate s ~m ~prow ~pcol ~udiag ~lp ~up =
     end;
     if !bc < 0 then raise Singular;
     let pc = !bc and pr = !br and pa = !ba in
+    cur := pr;
     prow.(step) <- pr;
     pcol.(step) <- pc;
     FA.set udiag step pa;
@@ -720,19 +810,29 @@ let eliminate s ~m ~prow ~pcol ~udiag ~lp ~up =
             (* The rewrite below would keep every other entry with its
                own value and in its order, dropping those at or under
                the tolerance; do exactly that where the column lies.
-               Kept rows keep their counts. *)
+               Kept rows keep their counts, so a kept entry can only
+               have become a zero-score candidate if the column's
+               largest magnitude fell (lowering the pivot threshold)
+               or at most one entry is left; a removed row reaching a
+               count of 1 pushes its columns through [dec_row]. *)
             let pi = s.pi and pv = s.pv in
-            let top = ref e0 in
+            let top = ref e0 and kmax = ref 0. and rmax = ref 0. in
             for e = e0 to e0 + nent - 1 do
               let r = pi.(e) and v = pv.(e) in
-              if r <> pr && Float.abs v > drop_tol then begin
+              let av = Float.abs v in
+              if r <> pr && av > drop_tol then begin
                 pi.(!top) <- r;
                 pv.(!top) <- v;
-                incr top
+                incr top;
+                if av > !kmax then kmax := av
               end
-              else dec_row r
+              else begin
+                if av > !rmax then rmax := av;
+                dec_row r
+              end
             done;
-            ccount.(c) <- !top - e0
+            ccount.(c) <- !top - e0;
+            if !rmax > !kmax || !top - e0 <= 1 then push c
           end
           else begin
             if !pend + nent + (l1 - l0) > Array.length s.pi then compact (nent + l1 - l0);
@@ -784,9 +884,9 @@ let eliminate s ~m ~prow ~pcol ~udiag ~lp ~up =
               dec_row pi.(e)
             done;
             cstart.(c) <- n0;
-            ccount.(c) <- !top - n0
-          end;
-          push c
+            ccount.(c) <- !top - n0;
+            push c
+          end
         end
       end
     done;

@@ -99,6 +99,11 @@ val btran : t -> float array -> unit
 (** In-place solve [Bᵀ x' = x]: input indexed by basis position, output
     by row.  Length must be [dim]. *)
 
+val btran2 : t -> float array -> float array -> unit
+(** [btran2 t x x2] is [btran t x; btran t x2], bit for bit, in one
+    sweep over the factors and the eta file (the stats book two BTRAN
+    calls).  [x] and [x2] must be distinct arrays of length [dim]. *)
+
 val update : t -> r:int -> w:float array -> bool
 (** [update t ~r ~w] appends the product-form eta for a pivot that
     replaced the column at position [r], where [w] is the entering

@@ -19,13 +19,17 @@ type outcome =
     }
   | Proven_infeasible of string
 
-(* Minimum and maximum activity of a row under the bounds; infinities
-   propagate naturally through float arithmetic except for 0 * inf, which
-   cannot occur because stored coefficients are non-zero.  Explicit [for]
-   loop rather than [Array.iter]: a closure capturing float refs boxes
-   every accumulator store, and this runs per active row, per round, per
-   node — it was the dominant allocation site of the whole solver. *)
-let activity row lb ub =
+module FA = Float.Array
+
+(* Minimum and maximum activity of a row under the bounds, into [act];
+   infinities propagate naturally through float arithmetic except for
+   0 * inf, which cannot occur because stored coefficients are
+   non-zero.  An all-float record is stored flat, so filling it boxes
+   nothing; a returned tuple would allocate per row, per round, per
+   node. *)
+type act = { mutable amin : float; mutable amax : float }
+
+let activity row lb ub act =
   let amin = ref 0. and amax = ref 0. in
   for k = 0 to Array.length row - 1 do
     let j, a = Array.unsafe_get row k in
@@ -38,93 +42,185 @@ let activity row lb ub =
       amax := !amax +. (a *. lb.(j))
     end
   done;
-  (!amin, !amax)
+  act.amin <- !amin;
+  act.amax <- !amax
 
 exception Infeasible of string
 
-let run ?(max_rounds = 16) ?(tol = 1e-9) (p : Simplex.problem) ~integer ~lb ~ub =
+type flat = {
+  f_start : int array;  (* row -> start of its terms; length m+1 *)
+  f_var : int array;
+  f_coef : floatarray;
+  f_senses : Model.sense array;
+  f_rhs : float array;
+}
+
+let flatten (p : Simplex.problem) =
+  let rows = p.Simplex.rows in
+  let m = Array.length rows in
+  let start = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    start.(i + 1) <- start.(i) + Array.length rows.(i)
+  done;
+  let var = Array.make start.(m) 0 and coef = FA.create start.(m) in
+  for i = 0 to m - 1 do
+    Array.iteri
+      (fun k (j, a) ->
+        var.(start.(i) + k) <- j;
+        FA.set coef (start.(i) + k) a)
+      rows.(i)
+  done;
+  { f_start = start; f_var = var; f_coef = coef; f_senses = p.Simplex.senses;
+    f_rhs = p.Simplex.rhs }
+
+(* Change stamps of [run_flat], one scratch per domain, grown to the
+   largest problem seen and never cleared: [clock] only rises, so a
+   stamp left by an earlier call is never above a row's stamp from this
+   one.  [busy] guards against a second systhread of the domain, which
+   then works on a fresh scratch. *)
+type stamps = {
+  busy : bool Atomic.t;
+  mutable clock : int;
+  mutable vstamp : int array;  (* variable -> clock of its last bound change *)
+  mutable rstamp : int array;  (* row -> clock when it was last evaluated *)
+}
+
+let new_stamps () = { busy = Atomic.make false; clock = 0; vstamp = [||]; rstamp = [||] }
+
+let stamps_key = Domain.DLS.new_key new_stamps
+
+let run_flat ?(max_rounds = 16) ?(tol = 1e-9) (fp : flat) ~integer ~lb ~ub =
   let feas = feas_slack tol and islack = int_slack tol in
-  let m = Array.length p.Simplex.rows in
+  let m = Array.length fp.f_senses in
   let lb = Array.copy lb and ub = Array.copy ub in
   let active = Array.make m true in
+  let st =
+    let s = Domain.DLS.get stamps_key in
+    if Atomic.compare_and_set s.busy false true then s else new_stamps ()
+  in
+  if Array.length st.vstamp < Array.length lb then
+    st.vstamp <- Array.make (max (Array.length lb) (2 * Array.length st.vstamp)) 0;
+  if Array.length st.rstamp < m then
+    st.rstamp <- Array.make (max m (2 * Array.length st.rstamp)) 0;
+  let vstamp = st.vstamp and rstamp = st.rstamp in
+  let start = fp.f_start and var = fp.f_var and coef = fp.f_coef in
   let changed = ref true in
   let rounds = ref 0 in
-  let round_int j =
+  (* A bound of [j] was just tightened: round it inward if [j] is
+     integer, stamp [j], and check that its domain is not empty. *)
+  let tightened j =
     if integer.(j) then begin
       lb.(j) <- Float.ceil (lb.(j) -. islack);
       ub.(j) <- Float.floor (ub.(j) +. islack)
-    end
+    end;
+    st.clock <- st.clock + 1;
+    vstamp.(j) <- st.clock;
+    changed := true;
+    if lb.(j) > ub.(j) +. feas then
+      raise (Infeasible (Printf.sprintf "empty domain for variable %d" j))
   in
-  let tighten_lb j v =
-    if v > lb.(j) +. tol then begin
-      lb.(j) <- v;
-      round_int j;
-      changed := true;
-      if lb.(j) > ub.(j) +. feas then
-        raise (Infeasible (Printf.sprintf "empty domain for variable %d" j))
-    end
+  (* A row's evaluation is a pure function of its variables' bounds:
+     once no bound of the row has changed since the row was last
+     evaluated (which then changed nothing, or the row's own changes
+     would have stamped it), evaluating it again changes nothing. *)
+  let unchanged i =
+    let since = rstamp.(i) in
+    let k = ref start.(i) and stop = start.(i + 1) in
+    while !k < stop && vstamp.(Array.unsafe_get var !k) <= since do
+      incr k
+    done;
+    !k = stop
   in
-  let tighten_ub j v =
-    if v < ub.(j) -. tol then begin
-      ub.(j) <- v;
-      round_int j;
-      changed := true;
-      if lb.(j) > ub.(j) +. feas then
-        raise (Infeasible (Printf.sprintf "empty domain for variable %d" j))
-    end
+  (* Row evaluation, written out in the loop so that no float crosses a
+     call (a float argument is boxed): activity, then redundancy and
+     infeasibility, then propagation of  row <= rhs  from the row's
+     minimum activity.  A Ge row propagates negated (s = -1, from the
+     negated max activity), an Eq row in both directions, each from
+     the activities computed before either direction ran. *)
+  let propagate () =
+    try
+      while !changed && !rounds < max_rounds do
+        changed := false;
+        incr rounds;
+        let first = !rounds = 1 in
+        for i = 0 to m - 1 do
+          if active.(i) && (first || not (unchanged i)) then begin
+            rstamp.(i) <- st.clock;
+            let rhs = fp.f_rhs.(i) in
+            let amin = ref 0. and amax = ref 0. in
+            for k = start.(i) to start.(i + 1) - 1 do
+              let j = Array.unsafe_get var k and a = FA.unsafe_get coef k in
+              if a > 0. then begin
+                amin := !amin +. (a *. lb.(j));
+                amax := !amax +. (a *. ub.(j))
+              end
+              else begin
+                amin := !amin +. (a *. ub.(j));
+                amax := !amax +. (a *. lb.(j))
+              end
+            done;
+            let amin = !amin and amax = !amax in
+            let sense = fp.f_senses.(i) in
+            let redundant =
+              match sense with
+              | Model.Le ->
+                  if amin > rhs +. feas then
+                    raise (Infeasible (Printf.sprintf "row %d infeasible" i));
+                  amax <= rhs +. tol
+              | Model.Ge ->
+                  if amax < rhs -. feas then
+                    raise (Infeasible (Printf.sprintf "row %d infeasible" i));
+                  amin >= rhs -. tol
+              | Model.Eq ->
+                  if amin > rhs +. feas || amax < rhs -. feas then
+                    raise (Infeasible (Printf.sprintf "row %d infeasible" i));
+                  amin >= rhs -. tol && amax <= rhs +. tol
+            in
+            if redundant then active.(i) <- false
+            else
+              for dir = (if sense = Model.Ge then 1 else 0) to (if sense = Model.Le then 0 else 1) do
+                let neg = dir = 1 in
+                let s = if neg then -1.0 else 1.0 in
+                let rhs = if neg then -.rhs else rhs in
+                let amin = if neg then -.amax else amin in
+                if amin > rhs +. feas then
+                  raise (Infeasible (Printf.sprintf "row %d cannot be satisfied" i));
+                if Float.is_finite amin then
+                  for k = start.(i) to start.(i + 1) - 1 do
+                    let j = Array.unsafe_get var k in
+                    let a = s *. FA.unsafe_get coef k in
+                    let contrib = if a > 0. then a *. lb.(j) else a *. ub.(j) in
+                    let rest = amin -. contrib in
+                    if Float.is_finite rest then begin
+                      let v = (rhs -. rest) /. a in
+                      if a > 0. then begin
+                        if v < ub.(j) -. tol then begin
+                          ub.(j) <- v;
+                          tightened j
+                        end
+                      end
+                      else if v > lb.(j) +. tol then begin
+                        lb.(j) <- v;
+                        tightened j
+                      end
+                    end
+                  done
+              done
+          end
+        done
+      done;
+      Feasible { lb; ub; active; rounds = !rounds }
+    with Infeasible why -> Proven_infeasible why
   in
-  (* Propagate one inequality  row <= rhs  (Ge rows are negated on the
-     fly; Eq rows are propagated in both directions).  [amin] is the
-     row's minimum activity under the current bounds, already computed
-     by the caller's redundancy check — negate the max activity for a
-     negated row. *)
-  let propagate_le row rhs neg i amin =
-    let s = if neg then -1.0 else 1.0 in
-    if amin > rhs +. feas then
-      raise (Infeasible (Printf.sprintf "row %d cannot be satisfied" i));
-    if Float.is_finite amin then
-      for k = 0 to Array.length row - 1 do
-        let j, a0 = Array.unsafe_get row k in
-        let a = s *. a0 in
-        let contrib = if a > 0. then a *. lb.(j) else a *. ub.(j) in
-        let rest = amin -. contrib in
-        if Float.is_finite rest then
-          if a > 0. then tighten_ub j ((rhs -. rest) /. a)
-          else tighten_lb j ((rhs -. rest) /. a)
-      done
-  in
-  (try
-     while !changed && !rounds < max_rounds do
-       changed := false;
-       incr rounds;
-       for i = 0 to m - 1 do
-         if active.(i) then begin
-           let row = p.Simplex.rows.(i) and rhs = p.Simplex.rhs.(i) in
-           let amin, amax = activity row lb ub in
-           (match p.Simplex.senses.(i) with
-           | Model.Le ->
-               if amin > rhs +. feas then
-                 raise (Infeasible (Printf.sprintf "row %d infeasible" i));
-               if amax <= rhs +. tol then active.(i) <- false
-               else propagate_le row rhs false i amin
-           | Model.Ge ->
-               if amax < rhs -. feas then
-                 raise (Infeasible (Printf.sprintf "row %d infeasible" i));
-               if amin >= rhs -. tol then active.(i) <- false
-               else propagate_le row (-.rhs) true i (-.amax)
-           | Model.Eq ->
-               if amin > rhs +. feas || amax < rhs -. feas then
-                 raise (Infeasible (Printf.sprintf "row %d infeasible" i));
-               if amin >= rhs -. tol && amax <= rhs +. tol then active.(i) <- false
-               else begin
-                 propagate_le row rhs false i amin;
-                 propagate_le row (-.rhs) true i (-.amax)
-               end)
-         end
-       done
-     done;
-     Feasible { lb; ub; active; rounds = !rounds }
-   with Infeasible why -> Proven_infeasible why)
+  match propagate () with
+  | r ->
+      Atomic.set st.busy false;
+      r
+  | exception e ->
+      Atomic.set st.busy false;
+      raise e
+
+let run ?max_rounds ?tol p ~integer ~lb ~ub = run_flat ?max_rounds ?tol (flatten p) ~integer ~lb ~ub
 
 (* Coefficient strengthening on inequality rows, after Achterberg's rule
    (and GurobiPresolver's CoefficientStrengthening):  for  a x_j + rest
@@ -400,9 +496,11 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
             else tighten i j ((rhs -. rest) /. a) infinity
         done
     in
+    let act = { amin = 0.; amax = 0. } in
     let process i =
       let row = p.Simplex.rows.(i) and rhs = p.Simplex.rhs.(i) in
-      let amin, amax = activity row wlb wub in
+      activity row wlb wub act;
+      let amin = act.amin and amax = act.amax in
       match p.Simplex.senses.(i) with
       | Model.Le ->
           if amin > rhs +. feas then
@@ -644,7 +742,8 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
               end
           | _ -> (
               let row = p.Simplex.rows.(i) and rhs = p.Simplex.rhs.(i) in
-              let amin, amax = activity row wlb wub in
+              activity row wlb wub act;
+              let amin = act.amin and amax = act.amax in
               match p.Simplex.senses.(i) with
               | Model.Le ->
                   if amin > rhs +. feas then

@@ -39,8 +39,30 @@ val run :
   outcome
 (** [run p ~integer ~lb ~ub] propagates to fixpoint (at most [max_rounds]
     passes, default 16).  Input arrays are not mutated.  Rows are never
-    rewritten, only deactivated, so indices stay stable — this is the
-    engine {!Branch_bound} runs per node. *)
+    rewritten, only deactivated, so indices stay stable.  It is
+    {!run_flat} on [flatten p]. *)
+
+type flat
+(** A flat (CSR) image of a problem's rows, read by {!run_flat}:
+    immutable, so one image may serve every domain. *)
+
+val flatten : Simplex.problem -> flat
+(** O(rows + nonzeros); build it once per problem, not per call. *)
+
+val run_flat :
+  ?max_rounds:int ->
+  ?tol:float ->
+  flat ->
+  integer:bool array ->
+  lb:float array ->
+  ub:float array ->
+  outcome
+(** The engine {!Branch_bound} runs at every node and dive step.  Each
+    pass evaluates the active rows in index order; from the second pass
+    on it skips a row when no bound of its variables has changed since
+    the row was last evaluated, which reproduces that evaluation's
+    (empty) effect.  The result, [rounds] included, is exactly that of
+    evaluating every active row in every pass. *)
 
 val strengthen :
   ?tol:float ->

@@ -259,6 +259,16 @@ let binv_row st r =
   st.wrho.(r) <- 1.0;
   Lu.btran st.kern st.wrho
 
+(* [binv_row st r; compute_duals st], bit for bit, with one paired
+   BTRAN sweep over the factor instead of two. *)
+let binv_row_and_duals st r =
+  Array.fill st.wrho 0 st.m 0.;
+  st.wrho.(r) <- 1.0;
+  for i = 0 to st.m - 1 do
+    st.wy.(i) <- st.cost.(st.basis.(i))
+  done;
+  Lu.btran2 st.kern st.wrho st.wy
+
 (* [reduced_cost], [rho_dot] and [price_score] return a float and run
    once per column in every pricing pass and pivot-row sweep.  Keep
    them inlined: a call that is not boxes its result, about 6,000
@@ -913,18 +923,24 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
       else begin
         let r = !r and high = !high and viol = !viol in
         let k = st.basis.(r) in
-        binv_row st r;
-        let rho = st.wrho in
-        compute_duals st;
-        let y = st.wy in
+        binv_row_and_duals st r;
+        let rho = st.wrho and y = st.wy in
         (* s * alpha_j > 0 means raising x_j moves x_k toward the
            violated bound, so nonbasics at lower (free to rise) need
-           s*alpha > 0 and nonbasics at upper need s*alpha < 0. *)
+           s*alpha > 0 and nonbasics at upper need s*alpha < 0.  One
+           walk over column j accumulates both alpha_rj (as [rho_dot])
+           and d_j (as [reduced_cost]), each in its own order. *)
         let s = if high then 1.0 else -1.0 in
         let ncand = ref 0 in
         for j = 0 to st.ntot - 1 do
           if st.stat.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-            let a = rho_dot st rho j in
+            let a = ref 0. and d = ref st.cost.(j) in
+            for e = st.colp.(j) to st.colp.(j + 1) - 1 do
+              let i = Array.unsafe_get st.coli e and v = FA.unsafe_get st.colv e in
+              a := !a +. (rho.(i) *. v);
+              d := !d -. (y.(i) *. v)
+            done;
+            let a = !a in
             let sa = s *. a in
             let eligible =
               match st.stat.(j) with
@@ -937,7 +953,7 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
               let c = !ncand in
               st.cnd.(c) <- j;
               st.cnd_a.(c) <- a;
-              st.cnd_r.(c) <- Float.max 0. (reduced_cost st y j /. sa);
+              st.cnd_r.(c) <- Float.max 0. (!d /. sa);
               incr ncand
             end
           end

@@ -2240,18 +2240,78 @@ let structured_basis st family =
   shuffle cols;
   (m, cols)
 
-(* Bit-identity guard over one [structured_basis] family: the digest of
-   every FTRAN and BTRAN of 120 fixed-seed bases, all regular. *)
-let check_lu_family family seed expected () =
+(* Bit-identity guard over a basis generator: the digest of every
+   FTRAN and BTRAN of [count] fixed-seed bases, all regular. *)
+let check_lu_digest ~count gen seed expected () =
   let st = Random.State.make [| seed |] in
   let bits =
-    List.init 120 (fun _ ->
-        let m, cols = structured_basis st family in
+    List.init count (fun _ ->
+        let m, cols = gen st in
         lu_bits m cols)
   in
   Alcotest.(check bool) "every basis factorizes" false (List.mem "none" bits);
   let digest = Digest.to_hex (Digest.string (String.concat "" bits)) in
   Alcotest.(check string) "digest of every solve's bits" expected digest
+
+let check_lu_family family = check_lu_digest ~count:120 (fun st -> structured_basis st family)
+
+(* The shape of a warm node LP's basis: six to ten structural columns
+   of about 60 entries each over slack singletons (signed unit values)
+   on every row no structural column owns, m in [120, 259], positions
+   shuffled.  Most pivots are singletons whose row is deleted in place
+   from several long columns at once; a long column's entries on
+   another long column's home row are a tenth of a normal value, one
+   entry in eight is large (deleting it lowers its column's largest
+   magnitude, and so the pivot threshold), and a home entry is
+   sometimes under a tenth of its column's largest. *)
+let wide_basis st =
+  let int n = Random.State.int st n and bool () = Random.State.bool st in
+  let m = 120 + int 140 in
+  let signed v = if bool () then v else -.v in
+  let value () =
+    signed
+      (match int 8 with
+      | 0 -> 1.
+      | 1 -> 2.
+      | 2 -> 0.5
+      | 3 -> 10. +. Random.State.float st 30.
+      | _ -> 0.5 +. Random.State.float st 2.5)
+  in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done
+  in
+  let rows = Array.init m Fun.id in
+  shuffle rows;
+  let k = 6 + int 5 in
+  let cols =
+    Array.init m (fun i ->
+        if i >= k then [| (rows.(i), signed 1.) |]
+        else begin
+          let others = Array.init (m - 1) (fun t -> if t < i then t else t + 1) in
+          shuffle others;
+          let n = 50 + int 21 in
+          let home =
+            if int 4 = 0 then signed (0.01 +. Random.State.float st 0.08)
+            else signed (2. +. Random.State.float st 6.)
+          in
+          let c =
+            Array.init (n + 1) (fun t ->
+                if t = n then (rows.(i), home)
+                else
+                  let j = others.(t) in
+                  (rows.(j), if j < k then 0.1 *. value () else value ()))
+          in
+          shuffle c;
+          c
+        end)
+  in
+  shuffle cols;
+  (m, cols)
 
 (* The direct sum of two bases: a larger basis than either. *)
 let block_basis (m1, c1, _) (m2, c2, _) =
@@ -2371,6 +2431,75 @@ let test_lu_factorize_allocates_the_factor () =
             true (w <= bound))
     [ (let m, c, _ = largest in (m, c)); block_basis largest largest ]
 
+(* A simplex-shaped basis with an eta file of 0 to 64 updates (random
+   pivot rows and sparse entering images), and two sparse vectors of
+   its dimension holding +0.0 and -0.0 among their entries; [None] for
+   a basis the kernel refuses. *)
+let lu_with_etas st =
+  let int n = Random.State.int st n in
+  let m, cols, _ = simplex_like_basis st in
+  match Lu.factorize ~m (fun j -> cols.(j)) with
+  | None -> None
+  | Some lu ->
+      let entry () =
+        match int 6 with
+        | 0 -> 0.
+        | 1 -> -0.
+        | 2 -> 1.
+        | 3 -> -1.
+        | _ -> Random.State.float st 4. -. 2.
+      in
+      for _ = 1 to int 65 do
+        let r = int m in
+        let w = Array.init m (fun _ -> if int 3 = 0 then entry () else 0.) in
+        w.(r) <- (if Random.State.bool st then 1. else -.(0.5 +. Random.State.float st 2.));
+        ignore (Lu.update lu ~r ~w)
+      done;
+      let vec () =
+        match int 3 with
+        | 0 ->
+            let x = Array.make m 0. in
+            x.(int m) <- 1.;
+            x
+        | 1 -> Array.init m (fun _ -> if int 4 = 0 then entry () else if int 2 = 0 then -0. else 0.)
+        | _ -> Array.init m (fun _ -> entry ())
+      in
+      Some (lu, vec (), vec ())
+
+let bits_of x = Array.map Int64.bits_of_float x
+
+let prop_lu_btran2_bit_identical =
+  QCheck2.Test.make ~name:"lu: btran2 is two btrans, bit for bit" ~count:300
+    (QCheck2.Gen.make_primitive ~gen:lu_with_etas ~shrink:(fun _ -> Seq.empty))
+    (function
+      | None -> true
+      | Some (lu, x, x2) ->
+          let a = Array.copy x and b = Array.copy x2 in
+          Lu.btran lu a;
+          Lu.btran lu b;
+          Lu.btran2 lu x x2;
+          bits_of a = bits_of x && bits_of b = bits_of x2)
+
+let test_lu_btran2_stats () =
+  let st = Random.State.make [| 20261022 |] in
+  let booked f =
+    Lu.reset_stats ();
+    Lu.set_stats_enabled true;
+    Fun.protect ~finally:(fun () -> Lu.set_stats_enabled false) f;
+    Lu.stats ()
+  in
+  let checked = ref 0 in
+  while !checked < 40 do
+    match lu_with_etas st with
+    | None -> ()
+    | Some (lu, x, x2) ->
+        incr checked;
+        let a = Array.copy x and b = Array.copy x2 in
+        let two = booked (fun () -> Lu.btran lu a; Lu.btran lu b) in
+        let paired = booked (fun () -> Lu.btran2 lu x x2) in
+        Alcotest.(check bool) "btran2 books what two btrans book" true (two = paired)
+  done
+
 let test_append_rows_bit_identical () =
   (* Cold-solve snapshots carry a freshly refactorized zero-eta factor;
      growing one with Basis.append_rows must extend it in place rather
@@ -2407,6 +2536,236 @@ let test_append_rows_bit_identical () =
       (Int64.bits_of_float t0.Simplex.t_xb.(i))
       (Int64.bits_of_float t1.Simplex.t_xb.(i))
   done
+
+(* ------------------------------------------------------------------ *)
+(* Node propagation against its previous engine                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-node engine as it was before it read flat rows and skipped
+   unchanged ones, kept verbatim as the reference: every active row is
+   evaluated in every pass, through the tuple rows. *)
+module Reference_propagation = struct
+  type outcome = Presolve.outcome
+
+  let feas_slack tol = 100. *. tol
+  let int_slack tol = 1000. *. tol
+
+  let activity row lb ub =
+    let amin = ref 0. and amax = ref 0. in
+    for k = 0 to Array.length row - 1 do
+      let j, a = Array.unsafe_get row k in
+      if a > 0. then begin
+        amin := !amin +. (a *. lb.(j));
+        amax := !amax +. (a *. ub.(j))
+      end
+      else begin
+        amin := !amin +. (a *. ub.(j));
+        amax := !amax +. (a *. lb.(j))
+      end
+    done;
+    (!amin, !amax)
+
+  exception Infeasible of string
+
+  let run ?(max_rounds = 16) ?(tol = 1e-9) (p : Simplex.problem) ~integer ~lb ~ub : outcome =
+    let feas = feas_slack tol and islack = int_slack tol in
+    let m = Array.length p.Simplex.rows in
+    let lb = Array.copy lb and ub = Array.copy ub in
+    let active = Array.make m true in
+    let changed = ref true in
+    let rounds = ref 0 in
+    let round_int j =
+      if integer.(j) then begin
+        lb.(j) <- Float.ceil (lb.(j) -. islack);
+        ub.(j) <- Float.floor (ub.(j) +. islack)
+      end
+    in
+    let tighten_lb j v =
+      if v > lb.(j) +. tol then begin
+        lb.(j) <- v;
+        round_int j;
+        changed := true;
+        if lb.(j) > ub.(j) +. feas then
+          raise (Infeasible (Printf.sprintf "empty domain for variable %d" j))
+      end
+    in
+    let tighten_ub j v =
+      if v < ub.(j) -. tol then begin
+        ub.(j) <- v;
+        round_int j;
+        changed := true;
+        if lb.(j) > ub.(j) +. feas then
+          raise (Infeasible (Printf.sprintf "empty domain for variable %d" j))
+      end
+    in
+    let propagate_le row rhs neg i amin =
+      let s = if neg then -1.0 else 1.0 in
+      if amin > rhs +. feas then
+        raise (Infeasible (Printf.sprintf "row %d cannot be satisfied" i));
+      if Float.is_finite amin then
+        for k = 0 to Array.length row - 1 do
+          let j, a0 = Array.unsafe_get row k in
+          let a = s *. a0 in
+          let contrib = if a > 0. then a *. lb.(j) else a *. ub.(j) in
+          let rest = amin -. contrib in
+          if Float.is_finite rest then
+            if a > 0. then tighten_ub j ((rhs -. rest) /. a)
+            else tighten_lb j ((rhs -. rest) /. a)
+        done
+    in
+    (try
+       while !changed && !rounds < max_rounds do
+         changed := false;
+         incr rounds;
+         for i = 0 to m - 1 do
+           if active.(i) then begin
+             let row = p.Simplex.rows.(i) and rhs = p.Simplex.rhs.(i) in
+             let amin, amax = activity row lb ub in
+             (match p.Simplex.senses.(i) with
+             | Model.Le ->
+                 if amin > rhs +. feas then
+                   raise (Infeasible (Printf.sprintf "row %d infeasible" i));
+                 if amax <= rhs +. tol then active.(i) <- false
+                 else propagate_le row rhs false i amin
+             | Model.Ge ->
+                 if amax < rhs -. feas then
+                   raise (Infeasible (Printf.sprintf "row %d infeasible" i));
+                 if amin >= rhs -. tol then active.(i) <- false
+                 else propagate_le row (-.rhs) true i (-.amax)
+             | Model.Eq ->
+                 if amin > rhs +. feas || amax < rhs -. feas then
+                   raise (Infeasible (Printf.sprintf "row %d infeasible" i));
+                 if amin >= rhs -. tol && amax <= rhs +. tol then active.(i) <- false
+                 else begin
+                   propagate_le row rhs false i amin;
+                   propagate_le row (-.rhs) true i (-.amax)
+                 end)
+           end
+         done
+       done;
+       Presolve.Feasible { lb; ub; active; rounds = !rounds }
+     with Infeasible why -> Presolve.Proven_infeasible why)
+end
+
+(* A small propagation problem: 1-10 variables (integer or not, with
+   finite or infinite bounds), 1-10 rows of 1-4 terms over Le, Ge and
+   Eq senses.  Coefficients and right-hand sides are mostly small
+   integers, so chains of implied bounds and integer rounding are
+   common; [bounds ()] draws a fresh box for the same rows. *)
+let propagation_problem st =
+  let int n = Random.State.int st n in
+  let n = 1 + int 10 and m = 1 + int 10 in
+  let coef () =
+    match int 7 with
+    | 0 -> 1.
+    | 1 -> -1.
+    | 2 -> 2.
+    | 3 -> -2.
+    | 4 -> 0.5
+    | 5 -> -3.
+    | _ -> (if Random.State.bool st then 1. else -1.) *. (0.25 +. Random.State.float st 3.)
+  in
+  let rows =
+    Array.init m (fun _ ->
+        let vars = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = int (i + 1) in
+          let t = vars.(i) in
+          vars.(i) <- vars.(j);
+          vars.(j) <- t
+        done;
+        Array.init (1 + int (min n 4)) (fun k -> (vars.(k), coef ())))
+  in
+  let senses =
+    Array.init m (fun _ -> match int 5 with 0 -> Model.Eq | 1 | 2 -> Model.Ge | _ -> Model.Le)
+  in
+  let rhs =
+    Array.init m (fun _ ->
+        if int 4 = 0 then Random.State.float st 8. -. 3. else float_of_int (int 10 - 3))
+  in
+  let integer = Array.init n (fun _ -> int 3 > 0) in
+  let bounds () =
+    let lb =
+      Array.init n (fun _ ->
+          match int 5 with
+          | 0 -> neg_infinity
+          | 1 -> -2.
+          | 2 -> Random.State.float st 2. -. 1.
+          | _ -> 0.)
+    and ub =
+      Array.init n (fun _ ->
+          match int 5 with 0 -> infinity | 1 -> 4. | 2 -> 10. | 3 -> 2.5 | _ -> 1.)
+    in
+    (lb, ub)
+  in
+  let p =
+    { Simplex.ncols = n; rows; senses; rhs; obj = Array.make n 0.; obj_const = 0. }
+  in
+  (p, integer, bounds)
+
+let same_outcome (a : Presolve.outcome) (b : Presolve.outcome) =
+  match (a, b) with
+  | Presolve.Feasible a, Presolve.Feasible b ->
+      bits_of a.lb = bits_of b.lb && bits_of a.ub = bits_of b.ub && a.active = b.active
+      && a.rounds = b.rounds
+  | Presolve.Proven_infeasible a, Presolve.Proven_infeasible b -> a = b
+  | _ -> false
+
+let test_propagation_matches_reference () =
+  let st = Random.State.make [| 20261023 |] in
+  let multi = ref 0 and capped = ref 0 and infeasible = ref 0 and calls = ref 0 in
+  for _ = 1 to 3000 do
+    let p, integer, bounds = propagation_problem st in
+    let rows = Presolve.flatten p in
+    (* One image serves several boxes, as [p0]'s serves every node. *)
+    for _ = 1 to 3 do
+      let lb, ub = bounds () in
+      let max_rounds = [| None; Some 1; Some 2; Some 4; Some 4 |].(Random.State.int st 5) in
+      let want = Reference_propagation.run ?max_rounds p ~integer ~lb ~ub in
+      let got = Presolve.run_flat ?max_rounds rows ~integer ~lb ~ub in
+      incr calls;
+      if not (same_outcome want got) then
+        Alcotest.failf "call %d: the flat engine disagrees with the reference" !calls;
+      match want with
+      | Presolve.Feasible { rounds; _ } ->
+          if rounds >= 3 then incr multi;
+          if Some rounds = max_rounds && rounds > 1 then incr capped
+      | Presolve.Proven_infeasible _ -> incr infeasible
+    done;
+    let lb, ub = bounds () in
+    if not (same_outcome (Reference_propagation.run p ~integer ~lb ~ub) (Presolve.run p ~integer ~lb ~ub))
+    then Alcotest.fail "Presolve.run disagrees with the reference"
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "the sample reaches 3+ rounds (%d), the cap (%d) and infeasibility (%d)"
+       !multi !capped !infeasible)
+    true
+    (!multi > 100 && !capped > 100 && !infeasible > 100)
+
+(* The flat engine allocates its result and working copies of the
+   bounds, nothing per row evaluation. *)
+let test_propagation_allocation () =
+  let n = 400 and m = 300 in
+  let rows =
+    Array.init m (fun i ->
+        if i < m - 1 then [| (i, 1.); (i + 1, -1.) |] else [| (0, 1.); (1, 1.); (2, 1.) |])
+  in
+  let p =
+    { Simplex.ncols = n; rows; senses = Array.make m Model.Le; rhs = Array.make m 0.;
+      obj = Array.make n 0.; obj_const = 0. }
+  in
+  let integer = Array.make n true in
+  let lb = Array.make n 0. and ub = Array.make n 10. in
+  ub.(m - 1) <- 3.;
+  let flat = Presolve.flatten p in
+  let run () = Presolve.run_flat ~max_rounds:4 flat ~integer ~lb ~ub in
+  ignore (run ());
+  match words_allocated run with
+  | Presolve.Feasible { rounds; _ }, w ->
+      Alcotest.(check int) "propagation runs every pass" 4 rounds;
+      let bound = float_of_int ((2 * (n + 1)) + m + 1 + 256) in
+      Alcotest.(check bool) (Printf.sprintf "%.0f words <= %.0f" w bound) true (w <= bound)
+  | Presolve.Proven_infeasible e, _ -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
 (* Kernel round 2: pricing and ratio-test ablations                    *)
@@ -2690,6 +3049,17 @@ let () =
             (check_lu_family `Long 20261019 "677dc8d4e3a9cbf0713ee562e1ae3f3f");
           Alcotest.test_case "factorize is bit-identical at the drop tolerance" `Quick
             (check_lu_family `Tiny 20261020 "33ff876f9899afcbdd42ce32044c1503");
+          Alcotest.test_case "factorize is bit-identical on wide columns over slacks" `Quick
+            (check_lu_digest ~count:60 wide_basis 20261021 "92fd40b186b01431eb62f9624bbfabf1");
+        ] );
+      ( "equivalence",
+        [
+          qt prop_lu_btran2_bit_identical;
+          Alcotest.test_case "btran2 books two BTRAN calls" `Quick test_lu_btran2_stats;
+          Alcotest.test_case "node propagation matches the reference engine" `Quick
+            test_propagation_matches_reference;
+          Alcotest.test_case "node propagation allocates no per-row results" `Quick
+            test_propagation_allocation;
         ] );
       ( "kernel2",
         [
