@@ -27,7 +27,7 @@ let make ~ncols ~nrows ~basis ~stat ~factor =
 let age b =
   match b.factor with
   | None -> 0
-  | Some f -> Lu.factor_neta f
+  | Some f -> Lu.factor_updates f
 
 let compatible b ~ncols ~nrows =
   b.ncols = ncols && b.nrows = nrows

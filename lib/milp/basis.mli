@@ -8,10 +8,9 @@
     variable bounds, so a child node that differs from its parent only
     in bounds can reuse the parent's factor verbatim: restoring a
     snapshot costs one sparse FTRAN of the right-hand side instead of an
-    O(m³) refactorization.  The factor's eta-file length
-    ({!Lu.factor_neta}) plays the role the old pivot-update [age]
-    counter did: restores refactorize lazily once it crosses the
-    stability budget (see {!Simplex.solve}).  Storing a factor instead
+    O(m³) refactorization.  Restores refactorize lazily once the
+    factor's update log is stale by the kernel's own rule
+    ({!Lu.factor_stale}, see {!Simplex.solve}).  Storing a factor instead
     of a dense m×m inverse also shrinks every node record carried by
     branch & bound from O(m²) to O(nonzeros). *)
 
@@ -40,9 +39,9 @@ val status : t -> int -> vstat
 (** [status b j] is column [j]'s status in the snapshot. *)
 
 val age : t -> int
-(** Eta updates accumulated in the stored factor since its underlying
-    factorization — the staleness measure restores budget against.
-    [0] when no factor is stored (the restore refactorizes anyway). *)
+(** Updates accumulated in the stored factor since its underlying
+    factorization ({!Lu.factor_updates}); [0] when no factor is stored
+    (the restore refactorizes anyway). *)
 
 val append_rows : t -> (int * float) array array -> t
 (** [append_rows b rows] grows the snapshot by [k] appended constraint
@@ -50,7 +49,7 @@ val append_rows : t -> (int * float) array array -> t
     slacks) whose slacks all start basic.  The grown basis matrix is the
     block triangular [[B 0] [V I]], where row [t] of [V] is [rows.(t)]
     restricted to the basic columns; the stored factor is grown in place
-    via {!Lu.extend_rows} — old elimination steps and the eta file are
+    via {!Lu.extend_rows} — old elimination steps and the update log are
     kept verbatim, so solves over the original rows stay bit-identical
     and the cost is O(k·(m + nnz)) rather than a full snapshot rebuild.
     The grown snapshot stays dual feasible for the grown problem: every

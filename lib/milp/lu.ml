@@ -1,4 +1,4 @@
-(* Sparse LU of a basis matrix, product-form eta updates, sparse
+(* Sparse LU of a basis matrix, Forrest–Tomlin updates, sparse
    triangular solves.  See lu.mli for the interface contract.
 
    Everything lives in two index spaces: "row" (constraint rows of the
@@ -16,7 +16,20 @@
    step 2 offset words, with no per-step array headers.  Entry order is
    fixed by the elimination (see [factorize_csc]) and every solve
    depends on it bit for bit — the [extend_rows] bit-identity guarantee
-   does too. *)
+   does too.
+
+   A basis change never touches this core, which snapshots and handles
+   share.  Forrest–Tomlin (Math. Prog. 2, 1972) replaces U's column for
+   the leaving position by the entering column's spike (L⁻¹a, pushed
+   through the earlier row etas), moves it and its row last in U's
+   order, and eliminates that row's entries in the columns after it
+   with one row eta R: B = P_r⁻¹ L R₁⁻¹…R_k⁻¹ U_k P_c⁻¹.  Each update is
+   one immutable [upd] appended to a per-handle log: a snapshot copies
+   the log's pointers, so two handles reopened from it append to their
+   own logs and never see each other's updates.  The solves work over
+   "slots" (see below): FTRAN runs L, the row etas oldest first, then
+   U's update columns newest first and the core's rows; BTRAN runs the
+   transposes in the opposite order. *)
 
 module FA = Float.Array
 
@@ -24,6 +37,7 @@ type core = {
   cm : int;
   prow : int array;  (* step -> row *)
   pcol : int array;  (* step -> position *)
+  pstep : int array;  (* position -> step *)
   lp : int array;  (* step -> start of its L column in [li]/[lv]; length cm+1 *)
   li : int array;  (* later-step targets of the L columns *)
   lv : floatarray;  (* multipliers, parallel to [li] *)
@@ -34,29 +48,64 @@ type core = {
   cnnz : int;
 }
 
-type eta = { e_r : int; e_d : float; e_i : int array; e_v : floatarray }
+(* One Forrest–Tomlin update.  Update [j] of a handle over a core of
+   dimension [m] creates slot [m + j]: a new last column of U whose
+   diagonal is [u_d] and whose other entries ([u_si]/[u_sv], by slot)
+   are the spike, on the row of the slot [u_old] it retires once the
+   row eta [u_ri]/[u_rv] has eliminated that row's entries in the
+   columns ordered after it.  Immutable once logged. *)
+type upd = {
+  u_old : int;  (* the slot retired *)
+  u_pos : int;  (* basis position of the new column *)
+  u_d : float;
+  u_si : int array;
+  u_sv : floatarray;
+  u_ri : int array;
+  u_rv : floatarray;
+}
 
-type factor = { f_core : core; f_etas : eta array }
+type factor = { f_core : core; f_log : upd array; f_unz : int }
 
 type t = {
   m : int;
   core : core;
-  mutable etas : eta array;  (* buffer; [0, neta) live *)
-  mutable neta : int;
-  mutable enz : int;
+  mutable log : upd array;  (* buffer; [0, nup) live *)
+  mutable nup : int;
+  mutable unz : int;  (* entries across the live log *)
+  mutable dead : Bytes.t;  (* slot -> '\001' once retired; length >= m + nup *)
+  (* The spike kept by the last [ftran_spike], for the next [replace]. *)
+  mutable sp_i : int array;
+  mutable sp_v : float array;
+  mutable sp_n : int;
+  mutable sp_at : int;  (* [nup] when it was kept; -1 for none *)
 }
 
 let dim t = t.m
 
-let neta t = t.neta
-
-let nnz t = t.core.cnnz + t.enz
+let nnz t = t.core.cnnz + t.unz
 
 let factor_dim f = f.f_core.cm
 
-let factor_neta f = Array.length f.f_etas
+let factor_updates f = Array.length f.f_log
 
-let dummy_eta = { e_r = 0; e_d = 1.; e_i = [||]; e_v = FA.create 0 }
+(* The refactorization rule: the log may hold at most as many entries
+   as the factorization itself, and at most [max_updates] updates (each
+   leaves a retired slot that every solve steps over). *)
+let max_updates = 100
+
+let stale_after ~cnnz ~nup ~unz = nup >= max_updates || unz > cnnz
+
+let stale t = stale_after ~cnnz:t.core.cnnz ~nup:t.nup ~unz:t.unz
+
+let factor_stale f = stale_after ~cnnz:f.f_core.cnnz ~nup:(Array.length f.f_log) ~unz:f.f_unz
+
+let dummy_upd =
+  { u_old = 0; u_pos = 0; u_d = 1.; u_si = [||]; u_sv = FA.create 0; u_ri = [||];
+    u_rv = FA.create 0 }
+
+let handle core =
+  { m = core.cm; core; log = [||]; nup = 0; unz = 0; dead = Bytes.make core.cm '\000';
+    sp_i = [||]; sp_v = [||]; sp_n = 0; sp_at = -1 }
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch                                                  *)
@@ -141,11 +190,13 @@ let cap_f a n keep =
     b
   end
 
-let ensure_solve s m = if Array.length s.ws < m then s.ws <- Array.make m 0.
+(* Slot vectors hold [m + nup] entries; room for [max_updates] more
+   keeps a growing log from reallocating them at every update. *)
+let ensure_solve s n = if Array.length s.ws < n then s.ws <- Array.make (n + max_updates) 0.
 
-let ensure_solve2 s m =
-  ensure_solve s m;
-  if Array.length s.ws2 < m then s.ws2 <- Array.make m 0.
+let ensure_solve2 s n =
+  ensure_solve s n;
+  if Array.length s.ws2 < n then s.ws2 <- Array.make (n + max_updates) 0.
 
 let ensure_factorize s m =
   ensure_solve s m;
@@ -219,78 +270,192 @@ let count_solve calls nnz x m =
 (* Solves                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [y] is step-space scratch of length >= [t.m]. *)
-let ftran_with t y x =
+(* A handle's solves work over "slots": slot [k < m] is step [k] of the
+   core, slot [m + j] the column update [j] appended.  U's column order
+   is the live core steps, then the live updates oldest first.  A slot
+   retires when a later update replaces its column.  Its core U row and
+   its stale entries elsewhere (core U rows and spikes still name it)
+   stay in place: a solve skips retired slots and zeroes their values
+   wherever a live slot may read them.  [y] is slot-space scratch of
+   length >= m + nup. *)
+
+let clear_retired t y =
+  for j = 0 to t.nup - 1 do
+    y.((Array.unsafe_get t.log j).u_old) <- 0.
+  done
+
+(* Append one entry to the kept spike; the buffers grow to the largest
+   spike seen. *)
+let keep_entry t s v =
+  let k = t.sp_n in
+  if k >= Array.length t.sp_i then begin
+    let cap = max 16 (2 * k) in
+    let si = Array.make cap 0 and sv = Array.make cap 0. in
+    Array.blit t.sp_i 0 si 0 k;
+    Array.blit t.sp_v 0 sv 0 k;
+    t.sp_i <- si;
+    t.sp_v <- sv
+  end;
+  t.sp_i.(k) <- s;
+  t.sp_v.(k) <- v;
+  t.sp_n <- k + 1
+
+let ftran_with ~keep t y x =
   let c = t.core in
-  let m = t.m in
+  let m = t.m and n = t.nup and dead = t.dead in
   let lp = c.lp and li = c.li and lv = c.lv in
   let up = c.up and ui = c.ui and uv = c.uv in
   for k = 0 to m - 1 do
     y.(k) <- x.(c.prow.(k))
   done;
-  (* L y' = y, forward *)
-  for k = 0 to m - 1 do
-    let yk = y.(k) in
-    if yk <> 0. then
-      for e = lp.(k) to lp.(k + 1) - 1 do
-        let j = Array.unsafe_get li e in
-        y.(j) <- y.(j) -. (FA.unsafe_get lv e *. yk)
-      done
-  done;
-  (* U z = y', backward (row-wise gather; later steps already solved) *)
-  for k = m - 1 downto 0 do
-    let acc = ref y.(k) in
-    for e = up.(k) to up.(k + 1) - 1 do
-      acc := !acc -. (FA.unsafe_get uv e *. y.(Array.unsafe_get ui e))
+  (* L y' = y, forward.  Step [k] is final when the pass reaches it, so
+     a kept spike takes its core entries here (a retired slot's value
+     leaves with its row eta below). *)
+  if keep then begin
+    t.sp_n <- 0;
+    for k = 0 to m - 1 do
+      let yk = y.(k) in
+      if yk <> 0. then begin
+        if Bytes.unsafe_get dead k = '\000' then keep_entry t k yk;
+        for e = lp.(k) to lp.(k + 1) - 1 do
+          let j = Array.unsafe_get li e in
+          y.(j) <- y.(j) -. (FA.unsafe_get lv e *. yk)
+        done
+      end
+    done
+  end
+  else
+    for k = 0 to m - 1 do
+      let yk = y.(k) in
+      if yk <> 0. then
+        for e = lp.(k) to lp.(k + 1) - 1 do
+          let j = Array.unsafe_get li e in
+          y.(j) <- y.(j) -. (FA.unsafe_get lv e *. yk)
+        done
     done;
-    y.(k) <- !acc /. FA.unsafe_get c.udiag k
+  (* Row etas, oldest first: the retired slot's row, less the multiples
+     of later rows that its eta names, becomes the new slot's row. *)
+  for j = 0 to n - 1 do
+    let u = Array.unsafe_get t.log j in
+    let ri = u.u_ri and rv = u.u_rv in
+    let acc = ref y.(u.u_old) in
+    for e = 0 to Array.length ri - 1 do
+      acc := !acc -. (FA.unsafe_get rv e *. y.(Array.unsafe_get ri e))
+    done;
+    y.(m + j) <- !acc;
+    y.(u.u_old) <- 0.
   done;
+  if keep then begin
+    for j = 0 to n - 1 do
+      let v = y.(m + j) in
+      if v <> 0. && Bytes.unsafe_get dead (m + j) = '\000' then keep_entry t (m + j) v
+    done;
+    t.sp_at <- n
+  end;
+  (* U z = y', backward: the update columns newest first (a column
+     scatter), then the core (a row gather; later steps already
+     solved). *)
+  if n > 0 then begin
+    for j = n - 1 downto 0 do
+      if Bytes.unsafe_get dead (m + j) = '\000' then begin
+        let u = Array.unsafe_get t.log j in
+        let z = y.(m + j) /. u.u_d in
+        y.(m + j) <- z;
+        if z <> 0. then begin
+          let si = u.u_si and sv = u.u_sv in
+          for e = 0 to Array.length si - 1 do
+            let s = Array.unsafe_get si e in
+            y.(s) <- y.(s) -. (FA.unsafe_get sv e *. z)
+          done
+        end
+      end
+    done;
+    clear_retired t y
+  end;
+  for k = m - 1 downto 0 do
+    if Bytes.unsafe_get dead k = '\000' then begin
+      let acc = ref y.(k) in
+      for e = up.(k) to up.(k + 1) - 1 do
+        acc := !acc -. (FA.unsafe_get uv e *. y.(Array.unsafe_get ui e))
+      done;
+      y.(k) <- !acc /. FA.unsafe_get c.udiag k
+    end
+  done;
+  (* Out by position: a retired slot writes its zero before the newest
+     update at its position writes the value. *)
   for k = 0 to m - 1 do
     x.(c.pcol.(k)) <- y.(k)
   done;
-  (* eta file, oldest first: x := E_q⁻¹ x *)
-  for q = 0 to t.neta - 1 do
-    let e = t.etas.(q) in
-    let xr = x.(e.e_r) /. e.e_d in
-    x.(e.e_r) <- xr;
-    if xr <> 0. then begin
-      let ei = e.e_i and ev = e.e_v in
-      for k = 0 to Array.length ei - 1 do
-        let i = Array.unsafe_get ei k in
-        x.(i) <- x.(i) -. (FA.unsafe_get ev k *. xr)
-      done
-    end
+  for j = 0 to n - 1 do
+    x.((Array.unsafe_get t.log j).u_pos) <- y.(m + j)
   done;
   count_solve c_ftran c_ftran_nnz x m
+
+(* Position-indexed [x] into the slots: each position to its live slot,
+   retired slots to zero. *)
+let load_slots t y x =
+  let m = t.m in
+  for k = 0 to m - 1 do
+    y.(k) <- x.(t.core.pcol.(k))
+  done;
+  for j = 0 to t.nup - 1 do
+    y.(m + j) <- x.((Array.unsafe_get t.log j).u_pos)
+  done;
+  clear_retired t y
+
+(* Uᵀ z = y over the slots — the core forward (scatter: row k of U hits
+   later steps), then the update columns oldest first (gather) — and
+   the row-eta transposes newest first, which hand each new slot's
+   value back to the slot it retired and to the rows its eta names.
+   On return the core slots hold what the Lᵀ pass takes. *)
+let solve_ut t y =
+  let c = t.core in
+  let m = t.m and n = t.nup and dead = t.dead in
+  let up = c.up and ui = c.ui and uv = c.uv in
+  for k = 0 to m - 1 do
+    if Bytes.unsafe_get dead k = '\000' then begin
+      let zk = y.(k) /. FA.unsafe_get c.udiag k in
+      y.(k) <- zk;
+      if zk <> 0. then
+        for e = up.(k) to up.(k + 1) - 1 do
+          let j = Array.unsafe_get ui e in
+          y.(j) <- y.(j) -. (FA.unsafe_get uv e *. zk)
+        done
+    end
+  done;
+  if n > 0 then begin
+    clear_retired t y;
+    for j = 0 to n - 1 do
+      if Bytes.unsafe_get dead (m + j) = '\000' then begin
+        let u = Array.unsafe_get t.log j in
+        let si = u.u_si and sv = u.u_sv in
+        let acc = ref y.(m + j) in
+        for e = 0 to Array.length si - 1 do
+          acc := !acc -. (FA.unsafe_get sv e *. y.(Array.unsafe_get si e))
+        done;
+        y.(m + j) <- !acc /. u.u_d
+      end
+    done;
+    for j = n - 1 downto 0 do
+      let u = Array.unsafe_get t.log j in
+      let v = y.(m + j) in
+      y.(u.u_old) <- v;
+      if v <> 0. then begin
+        let ri = u.u_ri and rv = u.u_rv in
+        for e = 0 to Array.length ri - 1 do
+          let s = Array.unsafe_get ri e in
+          y.(s) <- y.(s) -. (FA.unsafe_get rv e *. v)
+        done
+      end
+    done
+  end
 
 let btran_with t y x =
   let c = t.core in
   let m = t.m in
   let lp = c.lp and li = c.li and lv = c.lv in
-  let up = c.up and ui = c.ui and uv = c.uv in
-  (* eta transposes, newest first: x := E_q⁻ᵀ x *)
-  for q = t.neta - 1 downto 0 do
-    let e = t.etas.(q) in
-    let acc = ref x.(e.e_r) in
-    let ei = e.e_i and ev = e.e_v in
-    for k = 0 to Array.length ei - 1 do
-      acc := !acc -. (FA.unsafe_get ev k *. x.(Array.unsafe_get ei k))
-    done;
-    x.(e.e_r) <- !acc /. e.e_d
-  done;
-  for k = 0 to m - 1 do
-    y.(k) <- x.(c.pcol.(k))
-  done;
-  (* Uᵀ z = ĉ, forward (scatter: row k of U hits later steps) *)
-  for k = 0 to m - 1 do
-    let zk = y.(k) /. FA.unsafe_get c.udiag k in
-    y.(k) <- zk;
-    if zk <> 0. then
-      for e = up.(k) to up.(k + 1) - 1 do
-        let j = Array.unsafe_get ui e in
-        y.(j) <- y.(j) -. (FA.unsafe_get uv e *. zk)
-      done
-  done;
+  load_slots t y x;
+  solve_ut t y;
   (* Lᵀ w = z, backward (gather: column k of L lists later steps) *)
   for k = m - 1 downto 0 do
     let acc = ref y.(k) in
@@ -305,56 +470,86 @@ let btran_with t y x =
   count_solve c_btran c_btran_nnz x m
 
 (* [btran_with t y x; btran_with t y2 x2], bit for bit, in one sweep:
-   the eta and Lᵀ passes are gathers, so the two accumulator chains
-   share each walk over the indices; the Uᵀ pass scatters, and each
-   vector keeps its own [<> 0.] skip, so neither touches an entry
-   (signed zeros included) that its own solve would skip. *)
+   the update-column, row-eta and Lᵀ passes gather or scatter from one
+   shared index walk with two chains; each scatter keeps each vector's
+   own [<> 0.] skip, so neither touches an entry (signed zeros
+   included) that its own solve would skip. *)
 let btran2_with t y y2 x x2 =
   let c = t.core in
-  let m = t.m in
+  let m = t.m and n = t.nup and dead = t.dead in
   let lp = c.lp and li = c.li and lv = c.lv in
   let up = c.up and ui = c.ui and uv = c.uv in
-  for q = t.neta - 1 downto 0 do
-    let e = t.etas.(q) in
-    let acc = ref x.(e.e_r) and acc2 = ref x2.(e.e_r) in
-    let ei = e.e_i and ev = e.e_v in
-    for k = 0 to Array.length ei - 1 do
-      let i = Array.unsafe_get ei k and v = FA.unsafe_get ev k in
-      acc := !acc -. (v *. x.(i));
-      acc2 := !acc2 -. (v *. x2.(i))
-    done;
-    x.(e.e_r) <- !acc /. e.e_d;
-    x2.(e.e_r) <- !acc2 /. e.e_d
-  done;
+  load_slots t y x;
+  load_slots t y2 x2;
   for k = 0 to m - 1 do
-    let p = c.pcol.(k) in
-    y.(k) <- x.(p);
-    y2.(k) <- x2.(p)
-  done;
-  for k = 0 to m - 1 do
-    let d = FA.unsafe_get c.udiag k in
-    let zk = y.(k) /. d and zk2 = y2.(k) /. d in
-    y.(k) <- zk;
-    y2.(k) <- zk2;
-    if zk <> 0. then begin
-      if zk2 <> 0. then
-        for e = up.(k) to up.(k + 1) - 1 do
-          let j = Array.unsafe_get ui e and u = FA.unsafe_get uv e in
-          y.(j) <- y.(j) -. (u *. zk);
-          y2.(j) <- y2.(j) -. (u *. zk2)
-        done
-      else
+    if Bytes.unsafe_get dead k = '\000' then begin
+      let d = FA.unsafe_get c.udiag k in
+      let zk = y.(k) /. d and zk2 = y2.(k) /. d in
+      y.(k) <- zk;
+      y2.(k) <- zk2;
+      if zk <> 0. then begin
+        if zk2 <> 0. then
+          for e = up.(k) to up.(k + 1) - 1 do
+            let j = Array.unsafe_get ui e and u = FA.unsafe_get uv e in
+            y.(j) <- y.(j) -. (u *. zk);
+            y2.(j) <- y2.(j) -. (u *. zk2)
+          done
+        else
+          for e = up.(k) to up.(k + 1) - 1 do
+            let j = Array.unsafe_get ui e in
+            y.(j) <- y.(j) -. (FA.unsafe_get uv e *. zk)
+          done
+      end
+      else if zk2 <> 0. then
         for e = up.(k) to up.(k + 1) - 1 do
           let j = Array.unsafe_get ui e in
-          y.(j) <- y.(j) -. (FA.unsafe_get uv e *. zk)
+          y2.(j) <- y2.(j) -. (FA.unsafe_get uv e *. zk2)
         done
     end
-    else if zk2 <> 0. then
-      for e = up.(k) to up.(k + 1) - 1 do
-        let j = Array.unsafe_get ui e in
-        y2.(j) <- y2.(j) -. (FA.unsafe_get uv e *. zk2)
-      done
   done;
+  if n > 0 then begin
+    clear_retired t y;
+    clear_retired t y2;
+    for j = 0 to n - 1 do
+      if Bytes.unsafe_get dead (m + j) = '\000' then begin
+        let u = Array.unsafe_get t.log j in
+        let si = u.u_si and sv = u.u_sv in
+        let acc = ref y.(m + j) and acc2 = ref y2.(m + j) in
+        for e = 0 to Array.length si - 1 do
+          let s = Array.unsafe_get si e and v = FA.unsafe_get sv e in
+          acc := !acc -. (v *. y.(s));
+          acc2 := !acc2 -. (v *. y2.(s))
+        done;
+        y.(m + j) <- !acc /. u.u_d;
+        y2.(m + j) <- !acc2 /. u.u_d
+      end
+    done;
+    for j = n - 1 downto 0 do
+      let u = Array.unsafe_get t.log j in
+      let ri = u.u_ri and rv = u.u_rv in
+      let v = y.(m + j) and v2 = y2.(m + j) in
+      y.(u.u_old) <- v;
+      y2.(u.u_old) <- v2;
+      if v <> 0. then begin
+        if v2 <> 0. then
+          for e = 0 to Array.length ri - 1 do
+            let s = Array.unsafe_get ri e and r = FA.unsafe_get rv e in
+            y.(s) <- y.(s) -. (r *. v);
+            y2.(s) <- y2.(s) -. (r *. v2)
+          done
+        else
+          for e = 0 to Array.length ri - 1 do
+            let s = Array.unsafe_get ri e in
+            y.(s) <- y.(s) -. (FA.unsafe_get rv e *. v)
+          done
+      end
+      else if v2 <> 0. then
+        for e = 0 to Array.length ri - 1 do
+          let s = Array.unsafe_get ri e in
+          y2.(s) <- y2.(s) -. (FA.unsafe_get rv e *. v2)
+        done
+    done
+  end;
   for k = m - 1 downto 0 do
     let acc = ref y.(k) and acc2 = ref y2.(k) in
     for e = lp.(k) to lp.(k + 1) - 1 do
@@ -376,7 +571,7 @@ let btran2_with t y y2 x x2 =
 let with_solve_scratch solve t x =
   let s = acquire () in
   match
-    ensure_solve s t.m;
+    ensure_solve s (t.m + t.nup);
     solve t s.ws x
   with
   | () -> release s
@@ -384,14 +579,16 @@ let with_solve_scratch solve t x =
       release s;
       raise e
 
-let ftran t x = with_solve_scratch ftran_with t x
+let ftran t x = with_solve_scratch (ftran_with ~keep:false) t x
+
+let ftran_spike t x = with_solve_scratch (ftran_with ~keep:true) t x
 
 let btran t x = with_solve_scratch btran_with t x
 
 let btran2 t x x2 =
   let s = acquire () in
   match
-    ensure_solve2 s t.m;
+    ensure_solve2 s (t.m + t.nup);
     btran2_with t s.ws s.ws2 x x2
   with
   | () -> release s
@@ -400,50 +597,146 @@ let btran2 t x x2 =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* Eta updates                                                         *)
+(* Forrest–Tomlin updates                                              *)
 (* ------------------------------------------------------------------ *)
 
-let update t ~r ~w =
-  let m = t.m in
-  let d = w.(r) in
-  let amax = ref 0. and cnt = ref 0 in
-  for i = 0 to m - 1 do
-    let a = Float.abs w.(i) in
-    if a > !amax then amax := a;
-    if i <> r && w.(i) <> 0. then incr cnt
+(* The slot holding basis position [p]: the newest update there, else
+   its core step. *)
+let slot_of t p =
+  let s = ref (-1) and j = ref (t.nup - 1) in
+  while !s < 0 && !j >= 0 do
+    if (Array.unsafe_get t.log !j).u_pos = p then s := t.m + !j;
+    decr j
   done;
-  let ei = Array.make !cnt 0 in
-  let ev = FA.create !cnt in
+  if !s >= 0 then !s else t.core.pstep.(p)
+
+(* Into [y], the z with zᵀU = d·e_oldᵀ (d the diagonal at slot [old])
+   over the live slots: z_old = 1, zero before [old] in U's order, and
+   -z after it holds the multipliers of the rows that eliminate row
+   [old]'s entries there. *)
+let row_multipliers t y old =
+  let c = t.core in
+  let m = t.m and n = t.nup and dead = t.dead in
+  Array.fill y 0 (m + n) 0.;
+  y.(old) <- 1.;
+  if old < m then begin
+    for k = old to m - 1 do
+      let yk = y.(k) in
+      if yk <> 0. && Bytes.unsafe_get dead k = '\000' then begin
+        let zk = if k = old then 1. else yk /. FA.unsafe_get c.udiag k in
+        y.(k) <- zk;
+        for e = c.up.(k) to c.up.(k + 1) - 1 do
+          let j = Array.unsafe_get c.ui e in
+          y.(j) <- y.(j) -. (FA.unsafe_get c.uv e *. zk)
+        done
+      end
+    done;
+    clear_retired t y
+  end;
+  for j = (if old < m then 0 else old - m + 1) to n - 1 do
+    if Bytes.unsafe_get dead (m + j) = '\000' then begin
+      let u = Array.unsafe_get t.log j in
+      let si = u.u_si and sv = u.u_sv in
+      let acc = ref y.(m + j) in
+      for e = 0 to Array.length si - 1 do
+        acc := !acc -. (FA.unsafe_get sv e *. y.(Array.unsafe_get si e))
+      done;
+      y.(m + j) <- !acc /. u.u_d
+    end
+  done
+
+(* The logged update for the kept spike replacing slot [old] at
+   position [r]; [z] is scratch of length >= m + nup. *)
+let make_upd t z ~old ~r =
+  let m = t.m and n = t.nup in
+  row_multipliers t z old;
+  (* The new diagonal is the spike's entry on row [old] after the row
+     eta: the spike dotted with z. *)
+  let d = ref 0. and ns = ref 0 in
+  for e = 0 to t.sp_n - 1 do
+    let s = t.sp_i.(e) in
+    d := !d +. (z.(s) *. t.sp_v.(e));
+    if s <> old then incr ns
+  done;
+  let nr = ref 0 in
+  for s = old + 1 to m + n - 1 do
+    if z.(s) <> 0. && Bytes.unsafe_get t.dead s = '\000' then incr nr
+  done;
+  let ri = Array.make !nr 0 and rv = FA.create !nr in
   let k = ref 0 in
-  for i = 0 to m - 1 do
-    if i <> r && w.(i) <> 0. then begin
-      ei.(!k) <- i;
-      FA.set ev !k w.(i);
+  for s = old + 1 to m + n - 1 do
+    if z.(s) <> 0. && Bytes.unsafe_get t.dead s = '\000' then begin
+      ri.(!k) <- s;
+      FA.set rv !k (-.z.(s));
       incr k
     end
   done;
-  if t.neta >= Array.length t.etas then begin
-    let grown = Array.make (max 8 (2 * Array.length t.etas)) dummy_eta in
-    Array.blit t.etas 0 grown 0 t.neta;
-    t.etas <- grown
+  let si = Array.make !ns 0 and sv = FA.create !ns in
+  k := 0;
+  for e = 0 to t.sp_n - 1 do
+    let s = t.sp_i.(e) in
+    if s <> old then begin
+      si.(!k) <- s;
+      FA.set sv !k t.sp_v.(e);
+      incr k
+    end
+  done;
+  { u_old = old; u_pos = r; u_d = !d; u_si = si; u_sv = sv; u_ri = ri; u_rv = rv }
+
+let replace t ~r ~alpha =
+  if t.sp_at <> t.nup then invalid_arg "Lu.replace: no spike kept since the last basis change";
+  let m = t.m and n = t.nup in
+  let old = slot_of t r in
+  let d_old = if old < m then FA.get t.core.udiag old else t.log.(old - m).u_d in
+  let s = acquire () in
+  let u =
+    match
+      ensure_solve s (m + n);
+      make_upd t s.ws ~old ~r
+    with
+    | u ->
+        release s;
+        u
+    | exception e ->
+        release s;
+        raise e
+  in
+  if n >= Array.length t.log then begin
+    let grown = Array.make (max 8 (2 * n)) dummy_upd in
+    Array.blit t.log 0 grown 0 n;
+    t.log <- grown
   end;
-  t.etas.(t.neta) <- { e_r = r; e_d = d; e_i = ei; e_v = ev };
-  t.neta <- t.neta + 1;
-  t.enz <- t.enz + !cnt + 1;
-  Float.abs d >= 1e-9 && Float.abs d >= 1e-7 *. !amax
+  t.log.(n) <- u;
+  t.nup <- n + 1;
+  t.unz <- t.unz + 1 + Array.length u.u_si + Array.length u.u_ri;
+  if Bytes.length t.dead < m + n + 1 then begin
+    let grown = Bytes.make (m + Array.length t.log) '\000' in
+    Bytes.blit t.dead 0 grown 0 (m + n);
+    t.dead <- grown
+  end;
+  Bytes.set t.dead old '\001';
+  t.sp_at <- -1;
+  (* Stability: the new diagonal must be the old one times the pivot,
+     as det B'/det B = alpha. *)
+  Float.abs alpha >= 1e-9 && Float.abs (u.u_d -. (alpha *. d_old)) <= 1e-8 *. Float.abs u.u_d
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot t = { f_core = t.core; f_etas = Array.sub t.etas 0 t.neta }
+let snapshot t = { f_core = t.core; f_log = Array.sub t.log 0 t.nup; f_unz = t.unz }
 
 let of_factor f =
-  let n = Array.length f.f_etas in
-  let etas = Array.make (max 8 (2 * n)) dummy_eta in
-  Array.blit f.f_etas 0 etas 0 n;
-  let enz = Array.fold_left (fun acc e -> acc + 1 + Array.length e.e_i) 0 f.f_etas in
-  { m = f.f_core.cm; core = f.f_core; etas; neta = n; enz }
+  let n = Array.length f.f_log in
+  if n = 0 then handle f.f_core
+  else begin
+    let log = Array.make (max 8 (2 * n)) dummy_upd in
+    Array.blit f.f_log 0 log 0 n;
+    let dead = Bytes.make (f.f_core.cm + Array.length log) '\000' in
+    Array.iter (fun u -> Bytes.set dead u.u_old '\001') f.f_log;
+    { m = f.f_core.cm; core = f.f_core; log; nup = n; unz = f.f_unz; dead; sp_i = [||];
+      sp_v = [||]; sp_n = 0; sp_at = -1 }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Factorization                                                       *)
@@ -458,7 +751,7 @@ exception Singular
 let drop_tol = 1e-13
 
 let empty_core =
-  { cm = 0; prow = [||]; pcol = [||]; lp = [| 0 |]; li = [||]; lv = FA.create 0;
+  { cm = 0; prow = [||]; pcol = [||]; pstep = [||]; lp = [| 0 |]; li = [||]; lv = FA.create 0;
     up = [| 0 |]; ui = [||]; uv = FA.create 0; udiag = FA.create 0; cnnz = 0 }
 
 (* Assemble B into [s.bp]/[s.bi]/[s.bv]: position [i]'s column is CSC
@@ -924,15 +1217,16 @@ let factorize_with s ~m ~colp ~coli ~colv basis =
       FA.set uv e s.ux.(src)
     done
   done;
-  let core = { cm = m; prow; pcol; lp; li; lv; up; ui; uv; udiag; cnnz = m + nl + nu } in
-  let t = { m; core; etas = [||]; neta = 0; enz = 0 } in
+  let pstep = Array.sub posstep 0 m in
+  let core = { cm = m; prow; pcol; pstep; lp; li; lv; up; ui; uv; udiag; cnnz = m + nl + nu } in
+  let t = handle core in
   (* Conditioning probe: a factorization whose solve cannot reproduce
      B·(B⁻¹·1) = 1 to a relative 1e-8 would silently corrupt basic
      values downstream; reject it so callers fall back to a cold
      start. *)
   let x = s.px and z = s.pz in
   Array.fill x 0 m 1.;
-  ftran_with t s.ws x;
+  ftran_with ~keep:false t s.ws x;
   Array.fill z 0 m 0.;
   let xmax = ref 1. in
   for c = 0 to m - 1 do
@@ -955,7 +1249,7 @@ let factorize_with s ~m ~colp ~coli ~colv basis =
   end
 
 let factorize_csc ~m ~colp ~coli ~colv basis =
-  if m = 0 then Some { m = 0; core = empty_core; etas = [||]; neta = 0; enz = 0 }
+  if m = 0 then Some (handle empty_core)
   else begin
     let s = acquire () in
     match factorize_with s ~m ~colp ~coli ~colv basis with
@@ -998,43 +1292,27 @@ let extend_rows f vrows =
     let m' = m + kext in
     let prow = Array.init m' (fun i -> if i < m then c.prow.(i) else i) in
     let pcol = Array.init m' (fun i -> if i < m then c.pcol.(i) else i) in
+    let pstep = Array.init m' (fun i -> if i < m then c.pstep.(i) else i) in
     let udiag = FA.init m' (fun i -> if i < m then FA.get c.udiag i else 1.) in
     (* The new steps have empty U rows, so U's entries are shared. *)
     let up = Array.init (m' + 1) (fun i -> c.up.(min i m)) in
     (* Extra L entries per old step, targeting the new trivial steps:
-       the grown matrix is [[B 0] [V I]] = [[L 0] [W I]]·[[U 0] [0 I]]
-       with W U = V·E⁻¹ (V pushed through the eta file first, since the
-       etas post-multiply the core).  New steps never feed old ones, so
-       every old-step solve value is preserved bit-for-bit.  Each old
-       step's extra entries follow its own, by new row. *)
+       the grown matrix is [[B 0] [V I]] = [[L 0] [W I]]·[[R⁻¹U 0] [0 I]]
+       with W R⁻¹U = V, so W is V through the Uᵀ solve and the row-eta
+       transposes, as a BTRAN before its Lᵀ pass.  New steps never feed
+       old ones, so every old-step solve value is preserved bit-for-bit.
+       Each old step's extra entries follow its own, by new row. *)
+    let t = of_factor f in
     let extcnt = Array.make (m + 1) 0 in
     let ext_j = Vec.create () and ext_v = Vec.Float.create () in
     let ext_row = Array.make (kext + 1) 0 in
     let v = Array.make (max m 1) 0. in
-    let vh = Array.make (max m 1) 0. in
+    let vh = Array.make (max (m + t.nup) 1) 0. in
     for t0 = 0 to kext - 1 do
       Array.fill v 0 m 0.;
       Array.iter (fun (pos, a) -> v.(pos) <- v.(pos) +. a) vrows.(t0);
-      for q = Array.length f.f_etas - 1 downto 0 do
-        let e = f.f_etas.(q) in
-        let a = ref v.(e.e_r) in
-        for k = 0 to Array.length e.e_i - 1 do
-          a := !a -. (FA.get e.e_v k *. v.(e.e_i.(k)))
-        done;
-        v.(e.e_r) <- !a /. e.e_d
-      done;
-      for j = 0 to m - 1 do
-        vh.(j) <- v.(c.pcol.(j))
-      done;
-      (* ŵ U = v̂: forward scatter over U's rows. *)
-      for j = 0 to m - 1 do
-        let wj = vh.(j) /. FA.get c.udiag j in
-        vh.(j) <- wj;
-        if wj <> 0. then
-          for e = c.up.(j) to c.up.(j + 1) - 1 do
-            vh.(c.ui.(e)) <- vh.(c.ui.(e)) -. (wj *. FA.get c.uv e)
-          done
-      done;
+      load_slots t vh v;
+      solve_ut t vh;
       for j = 0 to m - 1 do
         if vh.(j) <> 0. then begin
           Vec.add_last ext_j j;
@@ -1067,8 +1345,18 @@ let extend_rows f vrows =
         fill.(j) <- fill.(j) + 1
       done
     done;
+    (* The update slots move up past the new steps. *)
+    let shift s = if s >= m then s + kext else s in
+    let log =
+      Array.map
+        (fun u ->
+          { u with u_old = shift u.u_old; u_si = Array.map shift u.u_si;
+                   u_ri = Array.map shift u.u_ri })
+        f.f_log
+    in
     { f_core =
-        { cm = m'; prow; pcol; lp; li; lv; up; ui = c.ui; uv = c.uv; udiag;
+        { cm = m'; prow; pcol; pstep; lp; li; lv; up; ui = c.ui; uv = c.uv; udiag;
           cnnz = c.cnnz + kext + extnnz };
-      f_etas = f.f_etas }
+      f_log = log;
+      f_unz = f.f_unz }
   end

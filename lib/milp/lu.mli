@@ -1,4 +1,4 @@
-(** Sparse LU factorization of a simplex basis with product-form (eta)
+(** Sparse LU factorization of a simplex basis with Forrest–Tomlin
     updates.
 
     The basis matrix [B] is given column-wise by basis {e position}: the
@@ -13,24 +13,27 @@
     - {!ftran}: [x := B⁻¹ x] — input indexed by row, output by position;
     - {!btran}: [x := B⁻ᵀ x] — input indexed by position, output by row.
 
-    After a simplex pivot replaces the column at position [r] by a
-    column whose FTRAN image is [w], {!update} appends a product-form
-    eta ([B' = B·E], [E] the identity with column [r] replaced by [w])
-    instead of refactorizing; solves apply the eta file after (FTRAN)
-    or before (BTRAN) the triangular factors.  The eta file is meant to
-    stay short — the caller refactorizes once {!neta} crosses its
-    stability budget.
+    After a simplex pivot replaces the column at position [r],
+    {!replace} applies a Forrest–Tomlin update instead of refactorizing:
+    the entering column's spike [L⁻¹a] (pushed through the earlier row
+    etas), kept by the {!ftran_spike} that computed its FTRAN image,
+    becomes U's new last column, and one row eta eliminates the replaced
+    row's entries in the columns after it.  The core [L] and [U] never
+    change; the updates form a log of immutable entries.  The caller
+    refactorizes when {!replace} reports an unstable update or {!stale}
+    holds.
 
-    A {!factor} is an immutable snapshot of a handle (shared triangular
-    core plus a frozen copy of the eta file) safe to store in
+    A {!factor} is an immutable snapshot of a handle (shared core plus a
+    copy of the log's entry pointers, O(updates) words) safe to store in
     {!Basis.t} and to hand across domains; {!of_factor} reopens it as a
-    private working handle.  {!extend_rows} grows a factor for appended
-    constraint rows whose slacks start basic — the grown matrix is block
-    triangular, so the old steps are kept verbatim and solves touching
-    only the original rows remain bit-identical. *)
+    private working handle, and two handles reopened from one snapshot
+    never see each other's updates.  {!extend_rows} grows a factor for
+    appended constraint rows whose slacks start basic — the grown matrix
+    is block triangular, so the old steps and the log's entries are kept
+    and solves touching only the original rows keep their values. *)
 
 type t
-(** Mutable working handle: triangular core + growing eta file.  Owned
+(** Mutable working handle: triangular core + growing update log.  Owned
     by one solver state; never shared across domains.  Solves borrow
     their step-space vector from the calling domain's scratch. *)
 
@@ -85,11 +88,13 @@ val factorize : m:int -> (int -> (int * float) array) -> t option
 
 val dim : t -> int
 
-val neta : t -> int
-(** Etas appended since the underlying factorization. *)
-
 val nnz : t -> int
-(** Nonzeros across [L], [U] and the eta file (stats only). *)
+(** Nonzeros across [L], [U] and the update log (stats only). *)
+
+val stale : t -> bool
+(** The refactorization rule: [true] once the log holds more entries
+    than the factorization ([m + nnz(L + U)]) or 100 updates.  The
+    caller should refactorize. *)
 
 val ftran : t -> float array -> unit
 (** In-place solve [B x' = x]: input indexed by row, output by basis
@@ -101,28 +106,39 @@ val btran : t -> float array -> unit
 
 val btran2 : t -> float array -> float array -> unit
 (** [btran2 t x x2] is [btran t x; btran t x2], bit for bit, in one
-    sweep over the factors and the eta file (the stats book two BTRAN
+    sweep over the factors and the update log (the stats book two BTRAN
     calls).  [x] and [x2] must be distinct arrays of length [dim]. *)
 
-val update : t -> r:int -> w:float array -> bool
-(** [update t ~r ~w] appends the product-form eta for a pivot that
-    replaced the column at position [r], where [w] is the entering
-    column's FTRAN image ([w = B⁻¹ a], so [w.(r)] is the pivot element).
-    The eta is always appended — the handle stays algebraically
-    consistent with the new basis — but the return value is [false]
-    when the pivot is too small relative to [max_i |w_i|] for the eta to
-    be numerically trustworthy; the caller should refactorize. *)
+val ftran_spike : t -> float array -> unit
+(** {!ftran}, which also keeps the spike of [x] for a following
+    {!replace}: call it on the entering column. *)
+
+val replace : t -> r:int -> alpha:float -> bool
+(** [replace t ~r ~alpha] updates the factorization for a pivot that
+    replaced the column at position [r] by the column the last
+    {!ftran_spike} solved, where [alpha] is that solve's entry at [r]
+    (the pivot element).  The update is always applied — the handle
+    stays algebraically consistent with the new basis — but the return
+    value is [false] when it fails the stability test (the pivot is
+    below 1e-9, or the new diagonal of U departs from the old one times
+    [alpha] by more than a relative 1e-8); the caller should
+    refactorize.  Raises [Invalid_argument] when no spike was kept since
+    the last update. *)
 
 val snapshot : t -> factor
-(** Freeze the handle (copies the eta file; shares the core). *)
+(** Freeze the handle (copies the log's entry pointers; shares the core
+    and the entries). *)
 
 val of_factor : factor -> t
-(** Reopen a snapshot as a fresh working handle (copies the eta file
-    back; shares the core). *)
+(** Reopen a snapshot as a fresh working handle (copies the log's entry
+    pointers back; shares the core). *)
 
 val factor_dim : factor -> int
 
-val factor_neta : factor -> int
+val factor_updates : factor -> int
+
+val factor_stale : factor -> bool
+(** {!stale} of the handle the snapshot was taken from. *)
 
 type stats = {
   s_ftran_calls : int;
@@ -146,6 +162,9 @@ val extend_rows : factor -> (int * float) array array -> factor
     own (slack) columns start basic, where [vrows.(t)] lists the new
     row's coefficients on the {e old basic columns by position}.  The
     grown matrix is the block-triangular [[B 0] [V I]]; the old steps
-    and the eta file are kept verbatim and the new rows eliminate
-    trivially on their unit diagonal, so FTRAN/BTRAN results on the
-    original rows are bit-for-bit those of [f].  O(k · (dim + nnz)). *)
+    are kept verbatim, the update log keeps its entries (its slots
+    renumbered past the new steps), and the new rows eliminate
+    trivially on their unit diagonal, so FTRAN results on the original
+    rows, and BTRAN results on the original positions when the new ones
+    are zero, keep their values; FTRAN keeps its bits.
+    O(k · (dim + nnz + log)). *)

@@ -200,7 +200,7 @@ type state = {
   mutable degen_count : int;
   mutable bland : bool;
   mutable price_ptr : int;  (* partial-pricing scan cursor *)
-  mutable age : int;  (* eta/pivot updates since last factorization *)
+  mutable age : int;  (* basis updates since the last factorization *)
 }
 
 let pivot_tol = 1e-9
@@ -209,11 +209,6 @@ let pivot_tol = 1e-9
    the second pass picks the largest pivot among the candidates the
    relaxation admits.  Matches the primal feasibility tolerance. *)
 let harris_tol = 1e-7
-
-(* Refactorize once the eta file is this long: each product-form eta
-   both slows the solves down and compounds rounding, so the budget
-   bounds drift across warm-start generations. *)
-let eta_limit = 64
 
 let nb_value st j =
   match st.stat.(j) with
@@ -224,12 +219,9 @@ let nb_value st j =
 
 (* Factorize the basis matrix whose column at position [i] is CSC
    column [basis.(i)]; [Lu.factorize_csc] reads the CSC buffers in
-   place.  This is not a rare call: it runs mostly when the eta file
-   reaches [eta_limit], 1,242 times in a one-pass perfbench
-   [tactical-root] run and 4,153 times in a [table1-tree] one, and
-   factorization is the largest single cost of those LPs (DESIGN §5f).
-   Warm restores do not add to it: none of the 6,574 restores of that
-   [tactical-root] run found its snapshot past [refresh_age]. *)
+   place.  It runs when the update log goes stale ([Lu.stale]) or an
+   update fails its stability test, at the end of each cold solve, and
+   on restoring a stale snapshot (DESIGN §5f gives the counts). *)
 let factor_basis ~m colp coli colv basis = Lu.factorize_csc ~m ~colp ~coli ~colv basis
 
 (* ------------------------------------------------------------------ *)
@@ -243,14 +235,15 @@ let compute_duals st =
   done;
   Lu.btran st.kern st.wy
 
-(* w = B^{-1} A_j, into [st.ww] (position-indexed). *)
+(* w = B^{-1} A_j, into [st.ww] (position-indexed); the kernel keeps
+   the spike for the pivot that may follow. *)
 let ftran_col st j =
   Array.fill st.ww 0 st.m 0.;
   for k = st.colp.(j) to st.colp.(j + 1) - 1 do
     let r = st.coli.(k) in
     st.ww.(r) <- st.ww.(r) +. FA.get st.colv k
   done;
-  Lu.ftran st.kern st.ww
+  Lu.ftran_spike st.kern st.ww
 
 (* rho = e_r^T B^{-1} (row [r] of the inverse), into [st.wrho]
    (row-indexed). *)
@@ -320,14 +313,16 @@ let refactorize st =
       true
   | None -> false
 
-(* Basis change at position [r]: the entering column's FTRAN image [w]
-   defines one product-form eta appended to the LU kernel.  A shaky eta
-   (pivot tiny relative to the column) or a full eta file triggers an
-   immediate refactorization. *)
+(* Basis change at position [r]: a Forrest–Tomlin update from the
+   spike the entering column's FTRAN ([ftran_col]) kept, [w] its image.
+   This is the only refactorization rule of a solve: an update that
+   fails its stability test, or a log grown stale ([Lu.stale]),
+   triggers an immediate refactorization, which also recomputes the
+   basic values. *)
 let kernel_update st r w =
-  let stable = Lu.update st.kern ~r ~w in
+  let stable = Lu.replace st.kern ~r ~alpha:w.(r) in
   st.age <- st.age + 1;
-  if (not stable) || Lu.neta st.kern >= eta_limit then ignore (refactorize st)
+  if (not stable) || Lu.stale st.kern then ignore (refactorize st)
 
 (* ------------------------------------------------------------------ *)
 (* Pricing                                                             *)
@@ -615,11 +610,6 @@ let snapshot st =
   Basis.make ~ncols:st.p.ncols ~nrows:st.m ~basis:st.basis ~stat:st.stat
     ~factor:(Some (Lu.snapshot st.kern))
 
-(* How stale a snapshot's factor may be — in appended etas — before a
-   restore pays for a fresh factorization.  Comparable to [eta_limit],
-   so warm-started chains see no worse drift than a long cold solve. *)
-let refresh_age = eta_limit
-
 (* Shared prologue of [init_state] and [warm_state]: size the workspace
    for [p], load the structural working bounds and encode each row's
    sense in its slack's bounds (a.x + s = b). *)
@@ -753,8 +743,10 @@ let init_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub =
    it).  The snapshot's stored factor is reopened verbatim — the basis
    matrix depends only on which columns are basic, not on bounds — so a
    restore normally costs one sparse FTRAN of the right-hand side; only
-   a snapshot whose eta file outgrew [refresh_age], or one without a
-   factor, pays for a fresh factorization.  Returns [None] when such a
+   a snapshot whose update log is stale by the rule [kernel_update]
+   refactorizes on ([Lu.factor_stale]), or one without a factor, pays
+   for a fresh factorization, so warm-started chains see no more drift
+   than one long solve.  Returns [None] when such a
    refresh finds the inherited basis matrix singular. *)
 let warm_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub (b : Basis.t) =
   prepare_workspace ws p ~lb ~ub;
@@ -791,7 +783,7 @@ let warm_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub (b : Basis.t) =
   Array.blit b.Basis.basis 0 ws.a_basis 0 m;
   let restored =
     match b.Basis.factor with
-    | Some f when Basis.age b <= refresh_age && Lu.factor_dim f = m ->
+    | Some f when (not (Lu.factor_stale f)) && Lu.factor_dim f = m ->
         Some (Lu.of_factor f, Basis.age b)
     | Some _ | None ->
         Option.map (fun lu -> (lu, 0)) (factor_basis ~m ws.colp ws.coli ws.colv ws.a_basis)
@@ -1053,7 +1045,6 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
               st.niter <- st.niter + 1;
               apply_step st j 1.0 w delta;
               pivot st j 1.0 w r delta ~to_upper:high;
-              if st.niter mod 256 = 0 then ignore (refactorize st);
               loop (pivots + 1)
             end
           end
@@ -1069,7 +1060,7 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
    Devex mode maintains the reduced costs incrementally (the pivot-row
    sweep in {!devex_update} pays for both the weight and the cost
    update), refreshing them from the duals at phase entry, every
-   refactorization period, after a Bland excursion, and — always —
+   [dred_period] iterations, after a Bland excursion, and — always —
    before optimality is declared, so a drifted estimate can never
    terminate the phase early.  Costs that are already fresh (refreshed
    with no pivot or refactorization since, e.g. on a warm start that
@@ -1078,7 +1069,7 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
    itself runs the classic full lowest-index scan on fresh duals,
    exactly as in Dantzig mode, preserving the termination guarantee. *)
 let optimize st ~max_iterations ~dual_tol ~deadline =
-  let refactor_period = 512 in
+  let dred_period = 512 in
   let devex = st.pricing = Devex in
   if devex then begin
     refresh_dred st;
@@ -1118,10 +1109,7 @@ let optimize st ~max_iterations ~dual_tol ~deadline =
             | Basic -> assert false
           in
           st.niter <- st.niter + 1;
-          if st.niter mod refactor_period = 0 then begin
-            ignore (refactorize st);
-            if devex && not st.bland then refresh_dred st
-          end;
+          if devex && (not st.bland) && st.niter mod dred_period = 0 then refresh_dred st;
           ftran_col st j;
           let w = st.ww in
           match ratio_test st j sigma w with
@@ -1263,7 +1251,8 @@ let try_warm ~pricing ~harris ~ws ~max_iterations ~feas_tol ~deadline p ~lb ~ub 
             | Ok () ->
                 (* Final hygiene: a warm basis whose basic values drift
                    out of primal feasibility is not trusted.  Drift is
-                   bounded by [refresh_age], so no unconditional O(m³)
+                   bounded by the refactorization rule of
+                   [kernel_update], so no unconditional O(m³)
                    refactorization is needed here. *)
                 if not (basic_within_bounds st (feas_tol *. 100.)) then None
                 else begin

@@ -4,10 +4,11 @@
     two-phase method: artificial variables give an identity starting
     basis; phase 1 minimizes total artificial value, phase 2 the true
     objective.  The basis is maintained as a sparse LU factorization
-    with product-form eta updates ({!Lu}): each iteration prices via
-    one sparse BTRAN, forms the entering column via one sparse FTRAN,
-    and appends one eta per pivot, refactorizing once the eta file hits
-    its stability budget.
+    with Forrest–Tomlin updates ({!Lu}): each iteration prices via one
+    sparse BTRAN, forms the entering column via one sparse FTRAN whose
+    spike becomes the update of the pivot, and refactorizes once an
+    update fails its stability test or the update log outgrows the
+    factorization.
 
     Pricing defaults to devex (reference-framework weights approximating
     steepest edge, maintained reduced costs updated from the pivot row,

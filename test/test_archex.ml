@@ -696,7 +696,7 @@ let test_session_carries_cuts () =
           Alcotest.(check int) "outcome carries no cuts" 0
             (List.length o.Outcome.mip.Milp.Branch_bound.carry_cuts))
         [ o3; o4 ];
-      Alcotest.(check int) "carried cuts seeded at K*=4" 4 o4.Outcome.mip.Milp.Branch_bound.cuts_seeded
+      Alcotest.(check int) "carried cuts seeded at K*=4" 5 o4.Outcome.mip.Milp.Branch_bound.cuts_seeded
 
 (* ------------------------------------------------------------------ *)
 (* Encoding internals                                                  *)
@@ -1312,17 +1312,19 @@ let test_presolve_node_count_regression () =
      so the node counts with and without the reduction stack are pinned
      exactly.  A drift here means the root reduction (or the baseline
      tree) changed behaviour — update the constants only with the PR
-     that intends the change.  The reduced tree happens to be larger on
-     this instance (strengthened rows reshape the LP bounds and the
-     branching order) while winning back far more per node; wall-time
-     and sweep-level wins are archived in BENCH_PR7.json. *)
+     that intends the change.  The two trees differ because strengthened
+     rows reshape the LP bounds and the branching order; which is larger
+     is tree-shape luck (575 against 606 under the product-form eta
+     file, 79 against 917 under Forrest–Tomlin updates), while the
+     reduced tree wins back far more per node; wall-time and
+     sweep-level wins are archived in BENCH_PR7.json. *)
   match Scenarios.data_collection ~objective:Objective.energy par_test_params with
   | Error e -> Alcotest.fail e
   | Ok inst ->
       let run presolve = (par_solve ~workers:1 ~presolve inst).Outcome.mip in
       let on = run true and off = run false in
-      Alcotest.(check int) "node count with presolve" 575 on.Milp.Branch_bound.nodes;
-      Alcotest.(check int) "node count without presolve" 606 off.Milp.Branch_bound.nodes;
+      Alcotest.(check int) "node count with presolve" 79 on.Milp.Branch_bound.nodes;
+      Alcotest.(check int) "node count without presolve" 917 off.Milp.Branch_bound.nodes;
       Alcotest.(check bool) "reduction removes rows" true
         (on.Milp.Branch_bound.presolve_rows_removed > 0);
       Alcotest.(check bool) "reduction removes columns" true

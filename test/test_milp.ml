@@ -1916,6 +1916,32 @@ let close_to ?(eps = 1e-9) y z =
   Array.iteri (fun i v -> if Float.abs (v -. z.(i)) > eps *. !scale then ok := false) y;
   !ok
 
+(* FTRAN and BTRAN of [rhs] through [lu] match the dense inverse [ia]
+   to 1e-9. *)
+let solves_match lu ia rhs =
+  let m = Array.length rhs in
+  let ft = Array.copy rhs in
+  Lu.ftran lu ft;
+  let ft_ref =
+    Array.init m (fun p ->
+        let s = ref 0. in
+        for r = 0 to m - 1 do
+          s := !s +. (ia.(p).(r) *. rhs.(r))
+        done;
+        !s)
+  in
+  let bt = Array.copy rhs in
+  Lu.btran lu bt;
+  let bt_ref =
+    Array.init m (fun r ->
+        let s = ref 0. in
+        for p = 0 to m - 1 do
+          s := !s +. (ia.(p).(r) *. rhs.(p))
+        done;
+        !s)
+  in
+  close_to ft ft_ref && close_to bt bt_ref
+
 (* Factorize [cols] with the sparse kernel and the dense reference:
    [`Both_singular] when both refuse, [`Agree] when both succeed and
    FTRAN/BTRAN of [rhs] match the dense inverse to 1e-9, [`Disagree]
@@ -1924,28 +1950,7 @@ let lu_vs_dense m cols rhs =
   match (Lu.factorize ~m (fun j -> cols.(j)), dense_inverse (dense_of_cols m cols)) with
   | None, None -> `Both_singular
   | None, Some _ | Some _, None -> `Disagree
-  | Some lu, Some ia ->
-      let ft = Array.copy rhs in
-      Lu.ftran lu ft;
-      let ft_ref =
-        Array.init m (fun p ->
-            let s = ref 0. in
-            for r = 0 to m - 1 do
-              s := !s +. (ia.(p).(r) *. rhs.(r))
-            done;
-            !s)
-      in
-      let bt = Array.copy rhs in
-      Lu.btran lu bt;
-      let bt_ref =
-        Array.init m (fun r ->
-            let s = ref 0. in
-            for p = 0 to m - 1 do
-              s := !s +. (ia.(p).(r) *. rhs.(p))
-            done;
-            !s)
-      in
-      if close_to ft ft_ref && close_to bt bt_ref then `Agree else `Disagree
+  | Some lu, Some ia -> if solves_match lu ia rhs then `Agree else `Disagree
 
 let prop_lu_matches_dense_reference =
   QCheck2.Test.make ~name:"lu: ftran/btran agree with the dense inverse to 1e-9" ~count:300
@@ -1970,8 +1975,8 @@ let prop_lu_eta_update_matches_dense =
           Array.iter (fun (i, v) -> a_new.(i) <- a_new.(i) +. (2. *. v)) cols.(r);
           Array.iter (fun (i, v) -> a_new.(i) <- a_new.(i) +. (0.5 *. v)) cols.(s);
           let w = Array.copy a_new in
-          Lu.ftran lu w;
-          if not (Lu.update lu ~r ~w) then false
+          Lu.ftran_spike lu w;
+          if not (Lu.replace lu ~r ~alpha:w.(r)) then false
           else
             let cols' = Array.copy cols in
             cols'.(r) <-
@@ -2431,11 +2436,175 @@ let test_lu_factorize_allocates_the_factor () =
             true (w <= bound))
     [ (let m, c, _ = largest in (m, c)); block_basis largest largest ]
 
-(* A simplex-shaped basis with an eta file of 0 to 64 updates (random
-   pivot rows and sparse entering images), and two sparse vectors of
-   its dimension holding +0.0 and -0.0 among their entries; [None] for
-   a basis the kernel refuses. *)
-let lu_with_etas st =
+(* ------------------------------------------------------------------ *)
+(* Forrest–Tomlin updates                                              *)
+(* ------------------------------------------------------------------ *)
+
+let bits_of x = Array.map Int64.bits_of_float x
+
+(* One basis change on [lu], mirrored in [cols]: the entering column is
+   s·col_r (|s| in [0.75, 1.5]) plus a sparse random column at weight
+   1/4, FTRANed through [Lu.ftran_spike]; it replaces position [r], or
+   the position of its image's largest entry when the image is small
+   at [r].  Returns the position replaced and [Lu.replace]'s verdict. *)
+let ft_step st lu m cols r =
+  let a = Array.make m 0. in
+  let s = (if Random.State.bool st then 1. else -1.) *. (0.75 +. Random.State.float st 0.75) in
+  Array.iter (fun (i, v) -> a.(i) <- a.(i) +. (s *. v)) cols.(r);
+  for _ = 1 to 1 + Random.State.int st 4 do
+    let i = Random.State.int st m in
+    a.(i) <- a.(i) +. (0.25 *. (Random.State.float st 2. -. 1.))
+  done;
+  let w = Array.copy a in
+  Lu.ftran_spike lu w;
+  let r =
+    if Float.abs w.(r) >= 0.5 then r
+    else begin
+      let best = ref 0 in
+      Array.iteri (fun i v -> if Float.abs v > Float.abs w.(!best) then best := i) w;
+      !best
+    end
+  in
+  let stable = Lu.replace lu ~r ~alpha:w.(r) in
+  cols.(r) <-
+    Array.of_list (List.filter (fun (_, v) -> v <> 0.) (List.mapi (fun i v -> (i, v)) (Array.to_list a)));
+  (r, stable)
+
+(* [lu] against the dense inverse of [cols]: FTRAN and BTRAN of [rhs]. *)
+let matches_dense lu m cols rhs =
+  match dense_inverse (dense_of_cols m cols) with
+  | None -> false
+  | Some ia -> solves_match lu ia rhs
+
+let factorized st =
+  let rec go () =
+    let m, cols, rhs = simplex_like_basis st in
+    match Lu.factorize ~m (fun j -> cols.(j)) with
+    | Some lu -> (m, Array.copy cols, rhs, lu)
+    | None -> go ()
+  in
+  go ()
+
+let test_lu_update_sequences_match_dense () =
+  let st = Random.State.make [| 20261101 |] in
+  let longest = ref 0 in
+  for _ = 1 to 120 do
+    let m, cols, rhs, lu = factorized st in
+    (* The first two steps replace one position twice. *)
+    let r0 = Random.State.int st m in
+    let step = ref 0 in
+    while not (Lu.stale lu) do
+      let r, stable = ft_step st lu m cols (if !step < 2 then r0 else Random.State.int st m) in
+      incr step;
+      if !step = 2 && r <> r0 then Alcotest.fail "the second step must replace the first's position";
+      Alcotest.(check bool) (Printf.sprintf "m=%d update %d is stable" m !step) true stable;
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d after update %d (position %d)" m !step r)
+        true (matches_dense lu m cols rhs)
+    done;
+    longest := max !longest !step
+  done;
+  Alcotest.(check bool) "some sequence runs past a few updates" true (!longest >= 8)
+
+let test_lu_update_snapshot_isolation () =
+  let st = Random.State.make [| 20261102 |] in
+  for _ = 1 to 40 do
+    let m, cols, rhs, lu = factorized st in
+    for _ = 1 to 1 + Random.State.int st 4 do
+      ignore (ft_step st lu m cols (Random.State.int st m))
+    done;
+    let f = Lu.snapshot lu in
+    let bits () = solve_bits m (Some (Lu.of_factor f)) in
+    let before = bits () in
+    (* Two handles reopened from [f] take different updates, on two
+       domains at once; each must still be its own basis's inverse. *)
+    let branch seed =
+      let st = Random.State.make [| seed |] in
+      let h = Lu.of_factor f and cols = Array.copy cols in
+      let ok = ref true in
+      for _ = 1 to 6 do
+        if not (Lu.stale h) then begin
+          ignore (ft_step st h m cols (Random.State.int st m));
+          ok := !ok && matches_dense h m cols rhs
+        end
+      done;
+      !ok
+    in
+    let d1 = Domain.spawn (fun () -> branch 1) and d2 = Domain.spawn (fun () -> branch 2) in
+    Alcotest.(check bool) "first handle tracks its basis" true (Domain.join d1);
+    Alcotest.(check bool) "second handle tracks its basis" true (Domain.join d2);
+    Alcotest.(check bool) "the updates live on after the handles are gone" true
+      (matches_dense (Lu.of_factor f) m cols rhs);
+    Alcotest.(check bool) "the snapshot's solve bits are unchanged" true (bits () = before)
+  done
+
+let test_lu_update_extend_rows () =
+  let st = Random.State.make [| 20261103 |] in
+  for _ = 1 to 60 do
+    let m, cols, rhs, lu = factorized st in
+    for _ = 1 to Random.State.int st 12 do
+      if not (Lu.stale lu) then ignore (ft_step st lu m cols (Random.State.int st m))
+    done;
+    let f = Lu.snapshot lu in
+    let k = 1 + Random.State.int st 3 in
+    let vrows =
+      Array.init k (fun _ ->
+          Array.init (1 + Random.State.int st 4) (fun _ ->
+              (Random.State.int st m, Random.State.float st 2. -. 1.)))
+    in
+    let g = Lu.extend_rows f vrows in
+    let padded () = Array.init (m + k) (fun i -> if i < m then rhs.(i) else 0.) in
+    let x = Array.copy rhs and gx = padded () in
+    let old = Lu.of_factor f and grown = Lu.of_factor g in
+    Lu.ftran old x;
+    Lu.ftran grown gx;
+    Alcotest.(check bool) "FTRAN of the old rows keeps its bits" true
+      (bits_of x = bits_of (Array.sub gx 0 m));
+    let y = Array.copy rhs and gy = padded () in
+    Lu.btran old y;
+    Lu.btran grown gy;
+    Alcotest.(check bool) "BTRAN of the old positions keeps its values" true
+      (Array.for_all2 Float.equal y (Array.sub gy 0 m));
+    (* The grown factor is [[B 0] [V I]]'s: V's row t holds vrows.(t)
+       on the basis positions, each slack its own row. *)
+    let gcols =
+      Array.init (m + k) (fun p ->
+          if p >= m then [| (p, 1.) |]
+          else
+            Array.append cols.(p)
+              (Array.of_list
+                 (List.concat
+                    (List.mapi
+                       (fun t row ->
+                         List.filter_map (fun (q, a) -> if q = p then Some (m + t, a) else None)
+                           (Array.to_list row))
+                       (Array.to_list vrows)))))
+    in
+    let grhs = Array.init (m + k) (fun i -> if i < m then rhs.(i) else float_of_int (i - m) -. 0.5) in
+    Alcotest.(check bool) "the grown factor inverts the grown basis" true
+      (matches_dense (Lu.of_factor g) (m + k) gcols grhs)
+  done
+
+let test_lu_replace_needs_a_spike () =
+  let st = Random.State.make [| 20261104 |] in
+  let m, cols, _, lu = factorized st in
+  let w = Array.make m 0. in
+  Array.iter (fun (i, v) -> w.(i) <- v) cols.(0);
+  Lu.ftran lu w;
+  Alcotest.check_raises "a plain FTRAN keeps no spike"
+    (Invalid_argument "Lu.replace: no spike kept since the last basis change") (fun () ->
+      ignore (Lu.replace lu ~r:0 ~alpha:w.(0)));
+  ignore (ft_step st lu m cols 0);
+  Alcotest.check_raises "a spike serves one update"
+    (Invalid_argument "Lu.replace: no spike kept since the last basis change") (fun () ->
+      ignore (Lu.replace lu ~r:1 ~alpha:1.))
+
+(* A simplex-shaped basis with zero up to the refactorization trigger
+   of Forrest–Tomlin updates (random positions, each replaced by a
+   random combination of its column and a sparse column), and two
+   sparse vectors of its dimension holding +0.0 and -0.0 among their
+   entries; [None] for a basis the kernel refuses. *)
+let lu_with_updates st =
   let int n = Random.State.int st n in
   let m, cols, _ = simplex_like_basis st in
   match Lu.factorize ~m (fun j -> cols.(j)) with
@@ -2449,11 +2618,12 @@ let lu_with_etas st =
         | 3 -> -1.
         | _ -> Random.State.float st 4. -. 2.
       in
-      for _ = 1 to int 65 do
-        let r = int m in
-        let w = Array.init m (fun _ -> if int 3 = 0 then entry () else 0.) in
-        w.(r) <- (if Random.State.bool st then 1. else -.(0.5 +. Random.State.float st 2.));
-        ignore (Lu.update lu ~r ~w)
+      let cols = Array.copy cols in
+      let steps = int 65 in
+      let k = ref 0 in
+      while !k < steps && not (Lu.stale lu) do
+        ignore (ft_step st lu m cols (int m));
+        incr k
       done;
       let vec () =
         match int 3 with
@@ -2466,11 +2636,9 @@ let lu_with_etas st =
       in
       Some (lu, vec (), vec ())
 
-let bits_of x = Array.map Int64.bits_of_float x
-
 let prop_lu_btran2_bit_identical =
   QCheck2.Test.make ~name:"lu: btran2 is two btrans, bit for bit" ~count:300
-    (QCheck2.Gen.make_primitive ~gen:lu_with_etas ~shrink:(fun _ -> Seq.empty))
+    (QCheck2.Gen.make_primitive ~gen:lu_with_updates ~shrink:(fun _ -> Seq.empty))
     (function
       | None -> true
       | Some (lu, x, x2) ->
@@ -2490,7 +2658,7 @@ let test_lu_btran2_stats () =
   in
   let checked = ref 0 in
   while !checked < 40 do
-    match lu_with_etas st with
+    match lu_with_updates st with
     | None -> ()
     | Some (lu, x, x2) ->
         incr checked;
@@ -3051,6 +3219,16 @@ let () =
             (check_lu_family `Tiny 20261020 "33ff876f9899afcbdd42ce32044c1503");
           Alcotest.test_case "factorize is bit-identical on wide columns over slacks" `Quick
             (check_lu_digest ~count:60 wide_basis 20261021 "92fd40b186b01431eb62f9624bbfabf1");
+        ] );
+      ( "lu_update",
+        [
+          Alcotest.test_case "update sequences match the dense inverse" `Quick
+            test_lu_update_sequences_match_dense;
+          Alcotest.test_case "handles reopened from one snapshot are isolated" `Quick
+            test_lu_update_snapshot_isolation;
+          Alcotest.test_case "extend_rows on an updated factor keeps old bits" `Quick
+            test_lu_update_extend_rows;
+          Alcotest.test_case "replace needs a kept spike" `Quick test_lu_replace_needs_a_spike;
         ] );
       ( "equivalence",
         [
