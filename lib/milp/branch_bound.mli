@@ -25,7 +25,17 @@
     they cannot leave their bound in an improving solution.  Disable
     with [cut_families = []] / [rc_fixing = false] (the [archex --cuts none]
     / [--no-rc-fixing] flags); [cuts = false] also skips the
-    root cut loop itself, which otherwise runs at most 20 rounds. *)
+    root cut loop itself, which otherwise runs at most 20 rounds.
+
+    A solve runs in four stages over one per-solve record: the
+    reduction (presolve or the identity, the session's presolve trace,
+    the carried-in incumbent and cuts), the root (the root LP, its cut
+    loop, rounding, dive and first branching — or, with every row
+    presolved away, the box LP in closed form), a drive that searches
+    the rest of the tree (the plain loop, a chain of one-node tasks on a
+    shared {!Scheduler}, or the parallel drive), and the finish that
+    builds the result.  The root is node 1 of the tallies, so
+    [node_limit = 1] runs the reduction and the root alone. *)
 
 type options = {
   time_limit : float;  (** Wall-clock seconds; [infinity] = none. *)
@@ -145,11 +155,16 @@ type result = {
   rc_fixed : int;  (** Integer variables fixed by reduced cost. *)
   root_lp_bound : float;
       (** Root LP relaxation objective (model direction) before any
-          cuts; [nan] if the root LP did not solve to optimality. *)
+          cuts, whether or not the cut loop runs; the closed-form box
+          optimum when presolve removed every row.  [nan] if the root
+          LP did not solve to optimality or the root never ran
+          ([node_limit = 0], or a timeout or interrupt first). *)
   root_cut_bound : float;
-      (** Root objective after the cut loop; with [root_lp_bound] and
-          the final incumbent this yields the root gap closed.  [nan]
-          when cuts are off or the root LP failed. *)
+      (** Root objective after the root cut loop; with [root_lp_bound]
+          and the final incumbent this yields the root gap closed.
+          Equal to [root_lp_bound] when the loop applies no cut (as
+          under [cut_families = []]); [nan] when [cuts = false], when
+          the root LP failed, or when presolve removed every row. *)
   presolve_rows_removed : int;  (** Rows of the model absent from the reduced problem. *)
   presolve_cols_removed : int;  (** Columns eliminated by the reduction. *)
   presolve_reapplied : bool;

@@ -413,8 +413,7 @@ let cosine a b =
   done;
   !acc
 
-let add pool c ~x =
-  ignore x;
+let add pool c =
   let parallel = ref None in
   let dup = ref false in
   List.iter

@@ -130,7 +130,7 @@ val create_pool : ?max_age:int -> ?max_size:int -> unit -> pool
     (default 500) caps the pool, evicting the least violated members
     first. *)
 
-val add : pool -> cut -> x:float array -> bool
+val add : pool -> cut -> bool
 (** Offer a cut to the pool.  Returns [false] — and does not store it —
     when an identical cut is already pooled, or a near-parallel one
     (cosine > 0.999) at least as tight exists; a near-parallel strictly

@@ -1079,7 +1079,6 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
     let kept = ref [] in
     Array.iteri (fun idx row -> if keep_row.(idx) then kept := row :: !kept) assembled;
     let kept = Array.of_list (List.rev !kept) in
-    let m_red = Array.length kept in
     let row_of_red = Array.map (fun (i, _, _, _) -> i) kept in
     let red_rows = Array.map (fun (_, t, _, _) -> t) kept in
     let red_senses = Array.map (fun (_, _, s, _) -> s) kept in
@@ -1129,7 +1128,6 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
     let post =
       Postsolve.make ~ncols:n ~nrows:m ~col_of_red ~row_of_red ~fixes ~substs
     in
-    ignore m_red;
     let stats =
       [
         {

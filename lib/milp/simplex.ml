@@ -574,12 +574,11 @@ let ratio_test st j sigma w =
   if st.harris && not st.bland then ratio_test_harris st j sigma w
   else ratio_test_classic st j sigma w
 
-let apply_step st j sigma w t =
+let apply_step st sigma w t =
   if t <> 0. then
     for i = 0 to st.m - 1 do
       st.xb.(i) <- st.xb.(i) -. (sigma *. w.(i) *. t)
-    done;
-  ignore j
+    done
 
 let pivot st j sigma w r t ~to_upper =
   let enter_val = nb_value st j +. (sigma *. t) in
@@ -1043,7 +1042,7 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
               let bound = if high then st.ub.(k) else st.lb.(k) in
               let delta = (st.xb.(r) -. bound) /. alpha in
               st.niter <- st.niter + 1;
-              apply_step st j 1.0 w delta;
+              apply_step st 1.0 w delta;
               pivot st j 1.0 w r delta ~to_upper:high;
               loop (pivots + 1)
             end
@@ -1115,7 +1114,7 @@ let optimize st ~max_iterations ~dual_tol ~deadline =
           match ratio_test st j sigma w with
           | Unbounded -> Error Status.Lp_unbounded
           | Bound_flip t ->
-              apply_step st j sigma w t;
+              apply_step st sigma w t;
               st.stat.(j) <- (match st.stat.(j) with At_lower -> At_upper | _ -> At_lower);
               st.degen_count <- 0;
               st.bland <- false;
@@ -1133,7 +1132,7 @@ let optimize st ~max_iterations ~dual_tol ~deadline =
               end;
               if devex && not st.bland then devex_update st ~q:j ~r:row ~alpha_rq:w.(row)
               else st.d_valid <- false;
-              apply_step st j sigma w t;
+              apply_step st sigma w t;
               pivot st j sigma w row t ~to_upper;
               loop ())
     end

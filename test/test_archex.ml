@@ -1228,7 +1228,7 @@ let par_test_params =
     dc_height = 28.;
   }
 
-let par_solve ?(kstar = 4) ?(presolve = true) ~workers inst =
+let par_solve ?(kstar = 4) ?(presolve = true) ?node_limit ~workers inst =
   let k = kstar in
   let cfg =
     Solver_config.(
@@ -1236,6 +1236,7 @@ let par_solve ?(kstar = 4) ?(presolve = true) ~workers inst =
       |> with_workers workers
       |> with_options (fun o -> { o with presolve }))
   in
+  let cfg = match node_limit with Some n -> Solver_config.with_node_limit n cfg | None -> cfg in
   match Solve.run cfg inst with Ok out -> out | Error e -> Alcotest.fail e
 
 let test_parallel_matches_sequential () =
@@ -1334,6 +1335,43 @@ let test_presolve_node_count_regression () =
         && off.Milp.Branch_bound.presolve_cols_removed = 0);
       Alcotest.(check (float 1e-6)) "objective parity" off.Milp.Branch_bound.objective
         on.Milp.Branch_bound.objective
+
+let test_root_outputs_pinned () =
+  (* Energy scenario, sequential solver: the root bounds are fixed once
+     the root has run, so a solve stopped right after it (node_limit = 1)
+     reports them bit for bit as the full solve does.  Cuts only tighten
+     the root LP and never cut off the optimum, so the LP bound, the cut
+     bound and the objective are ordered in the model's direction. *)
+  match Scenarios.data_collection ~objective:Objective.energy par_test_params with
+  | Error e -> Alcotest.fail e
+  | Ok inst ->
+      let full = par_solve ~workers:1 inst in
+      let root = (par_solve ~workers:1 ~node_limit:1 inst).Outcome.mip in
+      let mip = full.Outcome.mip in
+      let bits = Int64.bits_of_float in
+      Alcotest.(check int) "root-only solve stops after the root" 1 root.Milp.Branch_bound.nodes;
+      Alcotest.(check int64) "root LP bound bit for bit"
+        (bits mip.Milp.Branch_bound.root_lp_bound)
+        (bits root.Milp.Branch_bound.root_lp_bound);
+      Alcotest.(check int64) "root cut bound bit for bit"
+        (bits mip.Milp.Branch_bound.root_cut_bound)
+        (bits root.Milp.Branch_bound.root_cut_bound);
+      Alcotest.(check bool) "root cut bound finite with cuts on" true
+        (Float.is_finite mip.Milp.Branch_bound.root_cut_bound);
+      Alcotest.(check string) "full solve proves optimality" "optimal"
+        (Milp.Status.mip_status_to_string full.Outcome.status);
+      let sign =
+        match Milp.Model.direction full.Outcome.model with
+        | Milp.Model.Minimize -> 1.
+        | Milp.Model.Maximize -> -1.
+      in
+      let tol = 1e-6 *. Float.max 1. (Float.abs mip.Milp.Branch_bound.objective) in
+      Alcotest.(check bool) "cuts never loosen the root LP bound" true
+        (sign *. mip.Milp.Branch_bound.root_lp_bound
+        <= (sign *. mip.Milp.Branch_bound.root_cut_bound) +. tol);
+      Alcotest.(check bool) "root cut bound never passes the optimum" true
+        (sign *. mip.Milp.Branch_bound.root_cut_bound
+        <= (sign *. mip.Milp.Branch_bound.objective) +. tol)
 
 let test_sequential_bit_deterministic () =
   (* nworkers = 1 must take the pre-parallelism loop verbatim: two runs
@@ -1489,6 +1527,7 @@ let () =
             test_regression_incremental_steps_match_fresh;
           Alcotest.test_case "presolve node counts on energy" `Quick
             test_presolve_node_count_regression;
+          Alcotest.test_case "root outputs on energy" `Quick test_root_outputs_pinned;
         ] );
       ( "parallel",
         [

@@ -1250,6 +1250,61 @@ let test_bb_workers_node_limit () =
   Alcotest.(check bool) "node limit respected" true (r.Branch_bound.nodes <= node_limit);
   Alcotest.(check bool) "not proved optimal" true (r.Branch_bound.status <> Status.Mip_optimal)
 
+(* A 6-item 0-1 knapsack whose LP relaxation is fractional. *)
+let six_item_knapsack () =
+  let m = Model.create () in
+  let xs = Array.init 6 (fun i -> Model.add_binary m (Printf.sprintf "x%d" i)) in
+  let weights = [| 4.; 6.; 3.; 5.; 4.; 5. |] and values = [| 10.; 13.; 7.; 11.; 8.; 9. |] in
+  Model.add_constr m (Lin.of_list (Array.to_list (Array.map2 (fun w x -> (w, x)) weights xs)))
+    Model.Le 12.;
+  Model.set_objective m Model.Maximize
+    (Lin.of_list (Array.to_list (Array.map2 (fun v x -> (v, x)) values xs)));
+  m
+
+let test_bb_root_bounds_without_cuts () =
+  (* The root LP bound is the root LP's objective whether or not the cut
+     loop runs; the cut bound needs the cut loop, and with no family
+     enabled that loop applies nothing, so it repeats the LP bound. *)
+  let solve options = Branch_bound.solve ~options (six_item_knapsack ()) in
+  let off = solve { Branch_bound.default_options with Branch_bound.cuts = false } in
+  let none = solve { Branch_bound.default_options with Branch_bound.cut_families = [] } in
+  Alcotest.check mip_status "status" Status.Mip_optimal off.Branch_bound.status;
+  Alcotest.(check bool) "root LP bound recorded with cuts off" true
+    (Float.is_finite off.Branch_bound.root_lp_bound);
+  Alcotest.(check bool) "root LP bound bounds the optimum" true
+    (off.Branch_bound.root_lp_bound >= off.Branch_bound.objective -. 1e-9);
+  Alcotest.(check bool) "same root LP bound either way" true
+    (off.Branch_bound.root_lp_bound = none.Branch_bound.root_lp_bound);
+  Alcotest.(check bool) "no cut bound with cuts off" true
+    (Float.is_nan off.Branch_bound.root_cut_bound);
+  Alcotest.(check bool) "no family: cut bound is the LP bound" true
+    (none.Branch_bound.root_cut_bound = none.Branch_bound.root_lp_bound)
+
+let test_bb_presolve_reapplied () =
+  (* A session's second solve re-applies the first one's reduction trace
+     once the row delta is passed; presolve off never reports a
+     re-apply. *)
+  let m = six_item_knapsack () in
+  let state = Branch_bound.create_presolve_state () in
+  let first = Branch_bound.solve ~presolve_state:state m in
+  Alcotest.(check bool) "fresh state presolves from scratch" false
+    first.Branch_bound.presolve_reapplied;
+  let mark = Model.mark m in
+  (* Items 0 and 1 become mutually exclusive. *)
+  Model.add_constr m (Lin.of_list [ (1., 0); (1., 1) ]) Model.Le 1.;
+  let touched_rows = Model.touched_since m mark in
+  let second = Branch_bound.solve ~presolve_state:state ~touched_rows m in
+  Alcotest.(check bool) "second solve re-applies the trace" true
+    second.Branch_bound.presolve_reapplied;
+  let off =
+    Branch_bound.solve
+      ~options:{ Branch_bound.default_options with Branch_bound.presolve = false }
+      ~presolve_state:state ~touched_rows m
+  in
+  Alcotest.(check bool) "presolve off never re-applies" false off.Branch_bound.presolve_reapplied;
+  check_feq "re-applied solve agrees with presolve off" off.Branch_bound.objective
+    second.Branch_bound.objective
+
 let test_model_add_range () =
   let m = Model.create () in
   let x = Model.add_var m ~ub:10. "x" in
@@ -3163,6 +3218,8 @@ let () =
           Alcotest.test_case "workers match sequential" `Quick test_bb_workers_match_sequential;
           Alcotest.test_case "cutoff under workers" `Quick test_bb_workers_cutoff;
           Alcotest.test_case "node limit under workers" `Quick test_bb_workers_node_limit;
+          Alcotest.test_case "root bounds without cuts" `Quick test_bb_root_bounds_without_cuts;
+          Alcotest.test_case "presolve re-apply reported" `Quick test_bb_presolve_reapplied;
           qt prop_bb_matches_brute_force;
           qt prop_bb_solution_is_feasible;
           qt prop_bb_warm_start_invariant;
