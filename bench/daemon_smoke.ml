@@ -1,6 +1,8 @@
 (* Daemon smoke: start an archexd core in-process, submit the Table-1
    scenarios (test scale) over its Unix socket, and assert objective
-   parity with the one-shot [Solve.run] path to 1e-6.  Both sides
+   parity with the one-shot [Solve.run] path to 1e-6 — also for a
+   larger K* on a cached session, which the daemon serves by growing
+   it ([Session.grow] on a cache hit).  Both sides
    solve at rel_gap 1e-6 so parity compares proved optima, not
    incumbents two different searches happened to stop at.
 
@@ -37,28 +39,26 @@ let overrides =
     o_rel_gap = Some smoke_gap;
   }
 
-let oneshot_config =
+let oneshot_config k =
   Archex.Solver_config.(
     default
-    |> with_approx ~kstar:smoke_kstar ()
+    |> with_approx ~kstar:k ()
     |> with_time_limit smoke_time_limit
     |> with_rel_gap smoke_gap)
 
-let oneshot w =
-  match Server.Workload.instance w with
+let oneshot ?(kstar = smoke_kstar) w =
+  match Archex.Scenario.instance w with
   | Error e -> Error ("scenario: " ^ e)
   | Ok inst -> (
-      match Archex.Solve.run oneshot_config inst with
+      match Archex.Solve.run (oneshot_config kstar) inst with
       | Error e -> Error ("encode: " ^ e)
       | Ok out ->
           Ok
             ( Milp.Status.mip_status_to_string out.Archex.Outcome.status,
               out.Archex.Outcome.mip.Milp.Branch_bound.objective ))
 
-let submit conn name =
-  Server.Client.solve conn
-    (Server.Protocol.Workload { name; kstar = smoke_kstar })
-    overrides
+let submit ?(kstar = smoke_kstar) conn name =
+  Server.Client.solve conn (Server.Protocol.Workload { name; kstar }) overrides
 
 let () =
   let config =
@@ -95,7 +95,7 @@ let () =
               | Error e -> fail "ping: %s" e);
               List.iter
                 (fun name ->
-                  match Server.Workload.find name with
+                  match Archex.Scenario.find name with
                   | Error e -> fail "%s: %s" name e
                   | Ok w -> (
                       match (submit conn name, oneshot w) with
@@ -125,8 +125,9 @@ let () =
                             | _ -> "wrong frame")))
                 [ "dc-small-dollar"; "dc-small-energy"; "dc-small-mixed" ];
               (* A repeat must hit the warm session and land on the same
-                 objective. *)
-              match submit conn "dc-small-energy" with
+                 objective; a larger K* must hit it too, grow it, and
+                 land on the one-shot optimum at that K*. *)
+              (match submit conn "dc-small-energy" with
               | Ok (Server.Protocol.Result r) ->
                   if not r.Server.Protocol.r_cache_hit then
                     fail "repeat request missed the session cache";
@@ -134,7 +135,26 @@ let () =
                     r.Server.Protocol.r_status r.Server.Protocol.r_objective
                     (if r.Server.Protocol.r_cache_hit then "warm" else "cold")
               | Ok _ -> fail "repeat request: unexpected response frame"
-              | Error e -> fail "repeat request: %s" e));
+              | Error e -> fail "repeat request: %s" e);
+              let kstar = smoke_kstar + 1 in
+              match
+                ( submit ~kstar conn "dc-small-energy",
+                  Result.bind (Archex.Scenario.find "dc-small-energy") (oneshot ~kstar) )
+              with
+              | Ok (Server.Protocol.Result r), Ok (lstatus, lobj) ->
+                  let diff = Float.abs (r.Server.Protocol.r_objective -. lobj) in
+                  Format.printf "%-16s grow to K*=%d: %s %.6g (%s) | one-shot %s %.6g@."
+                    "dc-small-energy" kstar r.Server.Protocol.r_status
+                    r.Server.Protocol.r_objective
+                    (if r.Server.Protocol.r_cache_hit then "warm" else "cold")
+                    lstatus lobj;
+                  if not r.Server.Protocol.r_cache_hit then
+                    fail "K*=%d request missed the session cache" kstar;
+                  if diff > 1e-6 then
+                    fail "K*=%d: grown session and one-shot objectives differ by %g" kstar diff
+              | Ok _, Ok _ -> fail "K*=%d request: unexpected response frame" kstar
+              | Error e, _ -> fail "K*=%d request: %s" kstar e
+              | _, Error e -> fail "K*=%d one-shot: %s" kstar e));
       (* The SIGTERM handler in bin/archexd.ml calls exactly this, so
          driving it directly exercises the drain path it triggers. *)
       Server.Daemon.request_shutdown d;

@@ -531,7 +531,7 @@ let submit_main socket workload lp_file sub_kstar time_limit gap sub_workers
     | None, None ->
         Error
           (Printf.sprintf "nothing to submit: name a workload (%s) or pass --lp FILE"
-             (String.concat ", " (Server.Workload.names ())))
+             (String.concat ", " (Archex.Scenario.names ())))
   in
   match payload with
   | Error e ->

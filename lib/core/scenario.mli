@@ -2,15 +2,12 @@
     problem instances shared by the CLI, the daemon, the benches, the
     examples and the scenario generator.
 
-    Before this registry existed the Table-1 catalogue was duplicated
-    between [lib/core/scenarios.ml] (parameter records + builders) and
-    [lib/server/workload.ml] (daemon names).  Now everything registers
-    here: {!Scenarios} stays the low-level builder toolkit, the six
-    Table-1 entries are registered at module initialisation, and
+    {!Scenarios} stays the low-level builder toolkit, the six Table-1
+    entries are registered at module initialisation, and
     [Scenario_gen.register_defaults] adds the generated tactical
     families — which makes them addressable by name over the daemon
-    protocol with no server changes, since [Workload] is a thin view
-    over this table.
+    protocol with no server changes: the daemon looks request names up
+    in this table, and the name doubles as its session-cache key.
 
     The registry is process-global and intended to be populated during
     start-up (module init / main), before any concurrent lookups. *)

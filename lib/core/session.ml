@@ -20,11 +20,6 @@ type t = {
      with its objective, and the solver's cut carry-out. *)
   mutable s_carry : (float array * float) option;
   mutable s_carry_cuts : Milp.Cuts.cut list;
-  (* Template presolve: the reduction trace of the last solve plus the
-     watermark it was taken at, so the next solve re-applies the trace
-     to the row delta instead of presolving the template from scratch. *)
-  mutable s_ps : BB.presolve_state;
-  mutable s_mark : Model.watermark option;
   (* One simplex workspace for the whole session: LP buffers and the CSC
      image survive across sweep steps. *)
   s_ws : Milp.Simplex.workspace;
@@ -40,22 +35,12 @@ let config t = t.s_config
    limits, gaps, interrupt flags and streaming hooks).  Only knobs that
    leave the carried state valid may change: the encoding strategy
    kind and localization depth are structural, so a mismatch is a
-   caller bug.  A change to the presolve settings is legal
-   but invalidates the recorded reduction trace: the watermark advances
-   after every solve while the trace only advances on presolve-on
-   template solves, so after e.g. an off->on toggle the stored trace no
-   longer matches the delta [Model.touched_since] would report — replay
-   against it would adopt stale verdicts.  Reset both so the next solve
-   reduces from scratch and re-records. *)
+   caller bug. *)
 let reconfigure t config =
   (match Solver_config.loc_kstar config with
   | Some l when l = t.s_loc_kstar -> ()
   | Some _ -> invalid_arg "Session.reconfigure: loc_kstar cannot change mid-session"
   | None -> invalid_arg "Session.reconfigure: sessions need the approximate strategy");
-  if not (Solver_config.same_presolve t.s_config config) then begin
-    t.s_ps <- BB.create_presolve_state ();
-    t.s_mark <- None
-  end;
   t.s_config <- config
 
 let start (config : Solver_config.t) inst =
@@ -76,8 +61,6 @@ let start (config : Solver_config.t) inst =
     s_pool_total = 0;
     s_carry = None;
     s_carry_cuts = [];
-    s_ps = BB.create_presolve_state ();
-    s_mark = None;
     s_ws = Milp.Simplex.create_workspace ();
     s_pending_encode_s = 0.;
     s_pending_delta = 0;
@@ -193,23 +176,17 @@ let solve t =
             (Some x', cutoff)
       in
       let options = { options with BB.cutoff } in
-      (* Template presolve: with a watermark from the previous solve,
-         hand Branch_bound the exact row delta so it replays the stored
-         reduction trace instead of propagating from scratch. *)
-      let touched_rows = Option.map (fun mark -> Model.touched_since model mark) t.s_mark in
       (* The outcome keeps the model: hand it over without growth slack. *)
       Model.compact model;
       let t1 = Clock.now () in
       let mip =
         BB.solve ~options ~seed_cuts:t.s_carry_cuts
           ~separators:(Struct_cuts.separators enc.e_ctx)
-          ?warm_solution:warm ~presolve_state:t.s_ps
-          ?touched_rows ~ws:t.s_ws
+          ?warm_solution:warm ~ws:t.s_ws
           ?interrupt:t.s_config.Solver_config.interrupt
           ?on_incumbent:t.s_config.Solver_config.on_incumbent
           ?scheduler:t.s_config.Solver_config.scheduler model
       in
-      t.s_mark <- Some (Model.mark model);
       (* The carry-out cuts stay in the session for its next solve; the
          outcome goes without them, so a kept outcome does not hold the
          cut pool alive. *)

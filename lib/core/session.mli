@@ -3,7 +3,7 @@
     A session keeps everything alive that {!Kstar.search} used to throw
     away between schedule steps: the per-route Yen/BalanceDive state
     ({!Path_gen.state}), the live {!Encode_common} context and
-    {!Milp.Model.t} (grown in place via the watermark/append API), the
+    {!Milp.Model.t} (grown in place), the
     last incumbent, and the solver's cut pool.  Each step then costs a
     pool {e extension}, a {e delta} encode (only the new candidate
     paths' columns and rows), and a solve that starts from the previous

@@ -107,7 +107,3 @@ let kstar c = match c.strategy with Approx { kstar; _ } -> Some kstar | Full_enu
 
 let loc_kstar c =
   match c.strategy with Approx { loc_kstar; _ } -> Some loc_kstar | Full_enum -> None
-
-let same_presolve a b =
-  a.options.BB.presolve = b.options.BB.presolve
-  && a.options.BB.presolve_passes = b.options.BB.presolve_passes

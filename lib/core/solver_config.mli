@@ -133,8 +133,3 @@ val kstar : t -> int option
 (** [Some k] for the approximate strategy, [None] for [Full_enum]. *)
 
 val loc_kstar : t -> int option
-
-val same_presolve : t -> t -> bool
-(** Whether two configs agree on [options.presolve] and
-    [options.presolve_passes] — {!Session.reconfigure} uses this to
-    decide when a cached reduction trace must be invalidated. *)

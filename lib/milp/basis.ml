@@ -24,11 +24,6 @@ let make ~ncols ~nrows ~basis ~stat ~factor =
     stat = Bytes.init (Array.length stat) (fun j -> code stat.(j));
     factor }
 
-let age b =
-  match b.factor with
-  | None -> 0
-  | Some f -> Lu.factor_updates f
-
 let compatible b ~ncols ~nrows =
   b.ncols = ncols && b.nrows = nrows
   && Array.length b.basis = nrows

@@ -38,11 +38,6 @@ val make :
 val status : t -> int -> vstat
 (** [status b j] is column [j]'s status in the snapshot. *)
 
-val age : t -> int
-(** Updates accumulated in the stored factor since its underlying
-    factorization ({!Lu.factor_updates}); [0] when no factor is stored
-    (the restore refactorizes anyway). *)
-
 val append_rows : t -> (int * float) array array -> t
 (** [append_rows b rows] grows the snapshot by [k] appended constraint
     rows (sparse, over structural columns only — cut rows never touch

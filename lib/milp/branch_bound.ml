@@ -69,13 +69,6 @@ type result = {
   elapsed : float;
 }
 
-(* Cross-solve presolve memory for an incremental session: the trace of
-   the last reduction, replayed against the next solve's row delta
-   ([touched_rows]) instead of propagating the template from scratch. *)
-type presolve_state = { mutable ps_trace : Presolve.trace option }
-
-let create_presolve_state () = { ps_trace = None }
-
 let gap r =
   match r.solution with
   | None -> infinity
@@ -295,7 +288,6 @@ type search = {
   plb : float array;
   pub : float array;
   post : Postsolve.t;
-  reapplied : bool;
   cuts_seeded : int;
   inc : incumbent Atomic.t;
   pool : Cuts.pool;
@@ -848,11 +840,11 @@ let drive s scheduler =
       let sched = Scheduler.create ~nworkers:s.o.nworkers in
       Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) (fun () -> drive_parallel s sched)
 
-(* The reduction stage: the full presolve stack or the identity, the
-   session's presolve trace, then the carried-in incumbent and cuts.
-   [None] when presolve proves the model infeasible. *)
-let reduce (o : options) ~sign ~t0 ~seed_cuts ~separators ?warm_solution ?presolve_state
-    ?touched_rows ?ws ?interrupt ?on_incumbent model =
+(* The reduction stage: the full presolve stack or the identity, then
+   the carried-in incumbent and cuts.  [None] when presolve proves the
+   model infeasible. *)
+let reduce (o : options) ~sign ~t0 ~seed_cuts ~separators ?warm_solution ?ws ?interrupt
+    ?on_incumbent model =
   let p = Simplex.of_model model in
   let nfull = p.Simplex.ncols in
   let integer_full = Array.init nfull (Model.is_integer model) in
@@ -872,35 +864,23 @@ let reduce (o : options) ~sign ~t0 ~seed_cuts ~separators ?warm_solution ?presol
     end
   in
   (* Root reduction: the full presolve stack, or the identity when
-     disabled.  In an incremental session the previous solve's trace is
-     re-applied against the row delta instead of presolving the template
-     from scratch, and this solve's trace is kept for the next. *)
+     disabled. *)
   let reduced =
     if not o.presolve then
       let post = Postsolve.identity ~ncols:nfull ~nrows:(Array.length p.Simplex.rows) in
-      Some (p, integer_full, root_lb, root_ub, post, false)
-    else begin
-      let reuse =
-        match (presolve_state, touched_rows) with
-        | Some st, Some touched -> Option.map (fun tr -> (tr, touched)) st.ps_trace
-        | _ -> None
-      in
+      Some (p, integer_full, root_lb, root_ub, post)
+    else
       match
-        Presolve.reduce ~passes:o.presolve_passes ?essential ?reuse p ~integer:integer_full
+        Presolve.reduce ~passes:o.presolve_passes ?essential p ~integer:integer_full
           ~lb:root_lb ~ub:root_ub
       with
-      | Presolve.Reduced
-          { red_problem; red_integer; red_lb; red_ub; red_post; red_trace; red_reapplied; _ } ->
-          Option.iter (fun st -> st.ps_trace <- Some red_trace) presolve_state;
-          Some (red_problem, red_integer, red_lb, red_ub, red_post, red_reapplied)
-      | Presolve.Reduce_infeasible _ ->
-          Option.iter (fun st -> st.ps_trace <- None) presolve_state;
-          None
-    end
+      | Presolve.Reduced { red_problem; red_integer; red_lb; red_ub; red_post; _ } ->
+          Some (red_problem, red_integer, red_lb, red_ub, red_post)
+      | Presolve.Reduce_infeasible _ -> None
   in
   match reduced with
   | None -> None
-  | Some (p0, integer, plb, pub, post, reapplied) ->
+  | Some (p0, integer, plb, pub, post) ->
       let m0 = Array.length p0.Simplex.rows in
       (* A caller-supplied cutoff acts as a virtual incumbent: it prunes
          but carries no solution vector. *)
@@ -962,7 +942,7 @@ let reduce (o : options) ~sign ~t0 ~seed_cuts ~separators ?warm_solution ?presol
       let conflict_tbl = lazy (Conflicts.build p0 ~nrows:m0 ~integer ~lb:plb ~ub:pub) in
       Some
         { o; sign; t0; deadline; interrupt; on_incumbent; separators; p0; m0; p0_rows; integer;
-          plb; pub; post; reapplied; cuts_seeded; inc; pool;
+          plb; pub; post; cuts_seeded; inc; pool;
           conflict_tbl; pref = ref p0; pref_rows = Some p0_rows; cut_index = [||];
           applied_cuts = []; node_cut_budget = 8; queue; sws; st = new_tallies (); offsets = (0, 0);
           open_bound = (fun () -> match Pqueue.peek_key queue with Some k -> k | None -> infinity);
@@ -1018,18 +998,17 @@ let finish s { root; exhausted; left_open = open_bound } =
     root_cut_bound = s.sign *. root.cut_bound;
     presolve_rows_removed = s.post.Postsolve.orig_nrows - Array.length s.post.Postsolve.row_of_red;
     presolve_cols_removed = s.post.Postsolve.orig_ncols - Array.length s.post.Postsolve.col_of_red;
-    presolve_reapplied = s.reapplied;
+    presolve_reapplied = false;
     elapsed = Clock.now () -. s.t0;
   }
 
 let solve ?(options = default_options) ?(seed_cuts = []) ?(separators = [])
-    ?warm_solution ?presolve_state ?touched_rows ?ws ?interrupt ?on_incumbent
-    ?scheduler model =
+    ?warm_solution ?ws ?interrupt ?on_incumbent ?scheduler model =
   let t0 = Clock.now () in
   let sign = match Model.direction model with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   match
-    reduce options ~sign ~t0 ~seed_cuts ~separators ?warm_solution ?presolve_state ?touched_rows
-      ?ws ?interrupt ?on_incumbent model
+    reduce options ~sign ~t0 ~seed_cuts ~separators ?warm_solution ?ws ?interrupt ?on_incumbent
+      model
   with
   | None ->
       { status = Status.Mip_infeasible; objective = sign *. infinity; bound = sign *. infinity;

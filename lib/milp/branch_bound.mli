@@ -28,8 +28,8 @@
     root cut loop itself, which otherwise runs at most 20 rounds.
 
     A solve runs in four stages over one per-solve record: the
-    reduction (presolve or the identity, the session's presolve trace,
-    the carried-in incumbent and cuts), the root (the root LP, its cut
+    reduction (presolve or the identity, then the carried-in incumbent
+    and cuts), the root (the root LP, its cut
     loop, rounding, dive and first branching — or, with every row
     presolved away, the box LP in closed form), a drive that searches
     the rest of the tree (the plain loop, a chain of one-node tasks on a
@@ -168,29 +168,19 @@ type result = {
   presolve_rows_removed : int;  (** Rows of the model absent from the reduced problem. *)
   presolve_cols_removed : int;  (** Columns eliminated by the reduction. *)
   presolve_reapplied : bool;
-      (** [true] when a template trace seeded the reduction instead of a
-          from-scratch propagation (see [presolve_state] on {!solve}). *)
+      (** Always [false]: every solve presolves from scratch.  The field
+          stays only because the benchmark harness still reads it. *)
   elapsed : float;  (** Wall-clock seconds. *)
 }
 
 val gap : result -> float
 (** Relative optimality gap of a result ([infinity] without incumbent). *)
 
-type presolve_state
-(** Cross-solve presolve memory for an incremental session: holds the
-    reduction trace of the last solve so the next one can re-apply it
-    against the row delta instead of presolving the (largely unchanged)
-    template from scratch. *)
-
-val create_presolve_state : unit -> presolve_state
-
 val solve :
   ?options:options ->
   ?seed_cuts:Cuts.cut list ->
   ?separators:Cuts.separator list ->
   ?warm_solution:float array ->
-  ?presolve_state:presolve_state ->
-  ?touched_rows:int list ->
   ?ws:Simplex.workspace ->
   ?interrupt:bool Atomic.t ->
   ?on_incumbent:(float -> float -> unit) ->
@@ -249,14 +239,6 @@ val solve :
     starting incumbent — so it prunes exactly like a cutoff but is
     returned as a real solution if nothing better is found (instead of
     [Mip_unknown]).
-
-    [presolve_state] (with [touched_rows], the in-place row rewrites
-    since the previous solve on this model — {!Model.touched_since})
-    enables template presolve: the previous reduction's propagation
-    trace is replayed, keeping every tightening whose derivation avoids
-    the delta, and only the delta is re-propagated.  The state is
-    updated with this solve's trace.  Omit [touched_rows] (or pass a
-    fresh state) to presolve from scratch.
 
     [ws] lends the solver a persistent {!Simplex.workspace} so LP
     buffers and the CSC image survive across an incremental session's

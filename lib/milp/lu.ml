@@ -84,9 +84,10 @@ let dim t = t.m
 
 let nnz t = t.core.cnnz + t.unz
 
+let updates t = t.nup
+
 let factor_dim f = f.f_core.cm
 
-let factor_updates f = Array.length f.f_log
 
 (* The refactorization rule: the log may hold at most as many entries
    as the factorization itself, and at most [max_updates] updates (each

@@ -91,6 +91,10 @@ val dim : t -> int
 val nnz : t -> int
 (** Nonzeros across [L], [U] and the update log (stats only). *)
 
+val updates : t -> int
+(** Updates applied since the factorization ({!replace} calls, stable
+    or not); a reopened snapshot counts those of its handle. *)
+
 val stale : t -> bool
 (** The refactorization rule: [true] once the log holds more entries
     than the factorization ([m + nnz(L + U)]) or 100 updates.  The
@@ -134,8 +138,6 @@ val of_factor : factor -> t
     pointers back; shares the core). *)
 
 val factor_dim : factor -> int
-
-val factor_updates : factor -> int
 
 val factor_stale : factor -> bool
 (** {!stale} of the handle the snapshot was taken from. *)

@@ -114,10 +114,6 @@ type t = {
      next store. *)
   mutable value_ids : int Float_bits.t option;
   mutable packed : bool;  (* Nothing added or rewritten since [compact]. *)
-  (* Append-only log of row ids rewritten via [set_row]; watermarks
-     record a position in it so incremental consumers (the template
-     presolve of Session) can ask which existing rows changed. *)
-  set_log : int Vec.t;
 }
 
 let kind_code = function Continuous -> 0 | Integer -> 1 | Binary -> 2
@@ -183,7 +179,7 @@ let create ?(name = "model") () =
     var_classes = Tuples.create 4; obj_dir = Minimize; obj_const = 0.;
     r_name = Vec.Str.create (); r_class = Vec.Uint.create (); row_classes = Tuples.create 3;
     r_start = Vec.Uint.create (); terms = Vec.Varints.create ();
-    values = Vec.Float.create (); value_ids = None; packed = false; set_log = Vec.create () }
+    values = Vec.Float.create (); value_ids = None; packed = false }
 
 (* Index of [x] in [m.values], adding it if new. *)
 let intern m x =
@@ -299,7 +295,6 @@ let set_row m row expr sense rhs =
   if row < 0 || row >= nconstrs m then
     invalid_arg (Printf.sprintf "Model.set_row: row %d out of range" row);
   unpack m;
-  Vec.add_last m.set_log row;
   Vec.Uint.set m.r_start row (append_terms m expr);
   let code = sense_code sense lor (row_slot m row 0 land unnamed) in
   let rhs = intern m (rhs -. Lin.constant expr) in
@@ -321,7 +316,6 @@ let compact m =
     m.v_class <- Tuples.renumber m.var_classes m.v_class;
     m.r_class <- Tuples.renumber m.row_classes m.r_class;
     List.iter Vec.Str.trim [ m.v_name; m.r_name ];
-    Vec.trim m.set_log;
     Vec.Float.trim m.values;
     m.value_ids <- None;
     m.packed <- true
@@ -388,36 +382,6 @@ let constr m r =
   iter_terms m r (fun v c -> e := Lin.add_term !e c v);
   { c_name = (if code land unnamed <> 0 then "c" ^ string_of_int r else Vec.Str.get m.r_name r);
     c_expr = !e; c_sense = sense_of_code code; c_rhs = Vec.Float.get m.values (row_slot m r 1) }
-
-type watermark = { w_vars : int; w_constrs : int; w_log : int }
-
-let mark m =
-  { w_vars = nvars m; w_constrs = nconstrs m; w_log = Vec.length m.set_log }
-
-let vars_since m w =
-  let n = nvars m in
-  let rec build i = if i >= n then [] else i :: build (i + 1) in
-  build w.w_vars
-
-let constrs_since m w =
-  let n = nconstrs m in
-  let rec build i = if i >= n then [] else i :: build (i + 1) in
-  build w.w_constrs
-
-let touched_since m w =
-  (* Rows that existed at the watermark and have been rewritten in place
-     since; rows added after the watermark are reported by
-     [constrs_since] instead, so the two lists partition the delta. *)
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  for k = Vec.length m.set_log - 1 downto w.w_log do
-    let row = Vec.get m.set_log k in
-    if row < w.w_constrs && not (Hashtbl.mem seen row) then begin
-      Hashtbl.add seen row ();
-      acc := row :: !acc
-    end
-  done;
-  !acc
 
 let constrs m = Array.init (nconstrs m) (constr m)
 

@@ -116,28 +116,6 @@ val row : t -> int -> (int * float) array * sense * float
     its terms as [(var, coef)] pairs in increasing variable order (those
     of [Lin.terms (constr m r).c_expr]), its sense and its rhs. *)
 
-type watermark
-(** A point-in-time marker over a model's variable and constraint
-    counts.  Models only ever grow, so everything at an index at or past
-    a watermark was added after the watermark was taken. *)
-
-val mark : t -> watermark
-(** Record the current variable/constraint counts. *)
-
-val vars_since : t -> watermark -> int list
-(** Ids of variables added after [mark], in insertion order. *)
-
-val constrs_since : t -> watermark -> int list
-(** Indices of constraints added after [mark], in insertion order.
-    Rows rewritten in place via {!set_row} are not reported. *)
-
-val touched_since : t -> watermark -> int list
-(** Indices of constraints that existed at [mark] and have since been
-    rewritten in place via {!set_row} (deduplicated).
-    Together with {!constrs_since} this is the exact row delta since the
-    watermark — the input {!Presolve.reduce} needs to re-apply a
-    template reduction trace instead of presolving from scratch. *)
-
 val constrs : t -> constr array
 (** Snapshot of the current constraints in insertion order. *)
 

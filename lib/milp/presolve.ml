@@ -362,33 +362,13 @@ type pass_stats = {
   ps_changes : int;
 }
 
-type trace = {
-  tr_ncols : int;
-  tr_nrows : int;
-  tr_lb0 : float array;  (* original bounds the template run started from *)
-  tr_ub0 : float array;
-  tr_lb : float array;  (* propagation fixpoint bounds *)
-  tr_ub : float array;
-  (* Chronological tightening events (var, justifying row); probing
-     fixings carry row = -1 and are always re-derived on re-apply. *)
-  tr_events : (int * int) array;
-  (* Per-row activity verdict at the propagation-phase end (false =
-     proven redundant).  A re-apply adopts the verdict for untouched
-     rows whose support bounds sit exactly at the template fixpoint:
-     the verdict is a function of (row, support bounds) and both are
-     unchanged, so recomputing the activities would be pure waste. *)
-  tr_active : bool array;
-}
-
 type reduction = {
   red_problem : Simplex.problem;
   red_integer : bool array;
   red_lb : float array;
   red_ub : float array;
   red_post : Postsolve.t;
-  red_trace : trace;
   red_stats : pass_stats list;
-  red_reapplied : bool;
 }
 
 type reduce_outcome = Reduced of reduction | Reduce_infeasible of string
@@ -416,7 +396,7 @@ let build_adjacency (p : Simplex.problem) =
     p.Simplex.rows;
   (adjp, adj)
 
-let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?reuse
+let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential
     (p : Simplex.problem) ~integer ~lb ~ub =
   let feas = feas_slack tol and islack = int_slack tol in
   let enabled pass = List.mem pass passes in
@@ -424,21 +404,11 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
   let m = Array.length p.Simplex.rows in
   let wlb = Array.copy lb and wub = Array.copy ub in
   let active = Array.make m true in
-  let events = ref [] in
-  let nevents = ref 0 in
   let tightenings = ref 0 in
   let probe_fixed = ref 0 in
   let redundant_rows = ref 0 in
-  (* Re-apply bookkeeping: did a usable template trace seed this run?
-     [reuse_ctx] carries what the final redundancy sweep needs to adopt
-     template verdicts: (touched rows, template row count, template
-     verdicts, taint array, event count right after the adopt replay). *)
-  let reapplied = ref false in
-  let reuse_ctx = ref None in
   try
-    (* Adjacency is only consulted when a bound actually tightens, so a
-       template re-apply whose delta derives nothing never pays for it. *)
-    let adjacency = lazy (build_adjacency p) in
+    let adjp, adj = build_adjacency p in
     let inq = Array.make m false in
     let queue = Queue.create () in
     let enqueue i =
@@ -448,7 +418,6 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
       end
     in
     let enqueue_var j =
-      let adjp, adj = Lazy.force adjacency in
       for k = adjp.(j) to adjp.(j + 1) - 1 do
         enqueue adj.(k)
       done
@@ -459,9 +428,9 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
         wub.(j) <- Float.floor (wub.(j) +. islack)
       end
     in
-    let tighten just j keep_lb keep_ub =
+    let tighten j keep_lb keep_ub =
       (* [keep_lb]/[keep_ub] are candidate new bounds; apply whichever
-         improves by more than [tol], recording the event. *)
+         improves by more than [tol]. *)
       let improved = ref false in
       if keep_lb > wlb.(j) +. tol then begin
         wlb.(j) <- keep_lb;
@@ -474,8 +443,6 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
       if !improved then begin
         round_int j;
         incr tightenings;
-        events := (j, just) :: !events;
-        incr nevents;
         if wlb.(j) > wub.(j) +. feas then
           raise (Infeasible (Printf.sprintf "empty domain for variable %d" j));
         enqueue_var j
@@ -492,12 +459,14 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
           let contrib = if a > 0. then a *. wlb.(j) else a *. wub.(j) in
           let rest = amin -. contrib in
           if Float.is_finite rest then
-            if a > 0. then tighten i j neg_infinity ((rhs -. rest) /. a)
-            else tighten i j ((rhs -. rest) /. a) infinity
+            if a > 0. then tighten j neg_infinity ((rhs -. rest) /. a)
+            else tighten j ((rhs -. rest) /. a) infinity
         done
     in
     let act = { amin = 0.; amax = 0. } in
-    let process i =
+    (* Check row [i] at the working bounds: infeasible, redundant
+       (deactivated), or else, with [propagate], tighten its support. *)
+    let process ~propagate i =
       let row = p.Simplex.rows.(i) and rhs = p.Simplex.rhs.(i) in
       activity row wlb wub act;
       let amin = act.amin and amax = act.amax in
@@ -509,7 +478,7 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
             active.(i) <- false;
             incr redundant_rows
           end
-          else propagate_le row rhs false i amin
+          else if propagate then propagate_le row rhs false i amin
       | Model.Ge ->
           if amax < rhs -. feas then
             raise (Infeasible (Printf.sprintf "row %d infeasible" i));
@@ -517,7 +486,7 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
             active.(i) <- false;
             incr redundant_rows
           end
-          else propagate_le row (-.rhs) true i (-.amax)
+          else if propagate then propagate_le row (-.rhs) true i (-.amax)
       | Model.Eq ->
           if amin > rhs +. feas || amax < rhs -. feas then
             raise (Infeasible (Printf.sprintf "row %d infeasible" i));
@@ -525,7 +494,7 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
             active.(i) <- false;
             incr redundant_rows
           end
-          else begin
+          else if propagate then begin
             propagate_le row rhs false i amin;
             propagate_le row (-.rhs) true i (-.amax)
           end
@@ -536,106 +505,21 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
         let i = Queue.pop queue in
         inq.(i) <- false;
         decr budget;
-        if active.(i) then process i
+        if active.(i) then process ~propagate:true i
       done;
       Queue.clear queue;
       Array.fill inq 0 m false
     in
-    (* Seed the worklist: every row for a from-scratch run; for a
-       template re-apply, only the delta and whatever it taints.  The
-       replay only pays off when the delta is small next to the
-       template: once a grow step rewrites or appends a sizeable
-       fraction of the rows, the taint swallows most tightenings and
-       the replay bookkeeping is pure overhead on top of what amounts
-       to a full propagation — so fall back to from-scratch there and
-       keep re-apply a never-lose fast path. *)
-    (if enabled Propagate then begin
-       match reuse with
-       | Some (tr, touched_rows)
-         when tr.tr_ncols <= n && tr.tr_nrows <= m
-              && Array.length tr.tr_events <= 500_000
-              && (m - tr.tr_nrows) + List.length touched_rows
-                 <= Int.max 8 (tr.tr_nrows / 4) ->
-           reapplied := true;
-           let touched = Array.make m false in
-           List.iter (fun r -> if r >= 0 && r < m then touched.(r) <- true) touched_rows;
-           (* A template tightening survives iff its whole derivation
-              chain avoids rewritten rows.  Taint seeds: variables whose
-              original bounds differ from the template's (growth or the
-              caller changed them).  Replaying the event log forward then
-              spreads taint through each event's support, exactly
-              mirroring how the tightenings were derived. *)
-           let taint = Array.make n false in
-           let any_taint = ref false in
-           for j = 0 to tr.tr_ncols - 1 do
-             if wlb.(j) <> tr.tr_lb0.(j) || wub.(j) <> tr.tr_ub0.(j) then begin
-               taint.(j) <- true;
-               any_taint := true
-             end
-           done;
-           (* With no tainted variable anywhere, a support scan can
-              never hit — the whole replay degenerates to the probe/
-              touched-row test, which keeps the common taint-free grow
-              step O(events) instead of O(events x support). *)
-           Array.iter
-             (fun (j, r) ->
-               if not taint.(j) then
-                 if r < 0 || touched.(r) then begin
-                   taint.(j) <- true;
-                   any_taint := true
-                 end
-                 else if !any_taint then begin
-                   let row = p.Simplex.rows.(r) in
-                   let k = ref 0 and len = Array.length row in
-                   while (not taint.(j)) && !k < len do
-                     let j', _ = Array.unsafe_get row !k in
-                     if j' <> j && taint.(j') then taint.(j) <- true;
-                     incr k
-                   done
-                 end)
-             tr.tr_events;
-           (* Adopt the surviving fixpoint bounds and replay their
-              events into this run's log so the next trace stays
-              self-justifying. *)
-           for j = 0 to tr.tr_ncols - 1 do
-             if not taint.(j) then begin
-               if tr.tr_lb.(j) > wlb.(j) then wlb.(j) <- tr.tr_lb.(j);
-               if tr.tr_ub.(j) < wub.(j) then wub.(j) <- tr.tr_ub.(j)
-             end
-           done;
-           Array.iter
-             (fun (j, r) ->
-               if not taint.(j) then begin
-                 events := (j, r) :: !events;
-                 incr nevents
-               end)
-             tr.tr_events;
-           reuse_ctx := Some (touched, tr.tr_nrows, tr.tr_active, taint, !nevents);
-           (* Worklist: rewritten rows, new rows, and any row whose
-              support lost a template bound (tainted variable).  Rows
-              outside this set sit exactly at the template fixpoint and
-              can derive nothing new.  Tainted supports are found
-              through the adjacency rather than a full row scan, so a
-              taint-free re-apply (the common grow step) never walks
-              the template rows at all here. *)
-           for i = 0 to m - 1 do
-             if touched.(i) || i >= tr.tr_nrows then enqueue i
-           done;
-           for j = 0 to tr.tr_ncols - 1 do
-             if taint.(j) then enqueue_var j
-           done
-       | _ ->
-           for i = 0 to m - 1 do
-             enqueue i
-           done
-     end);
-    if enabled Propagate then drain ();
+    if enabled Propagate then begin
+      for i = 0 to m - 1 do
+        enqueue i
+      done;
+      drain ()
+    end;
     (* Probing on the 0-1 structure: conflict (clique) pairs mined from
        <=-rows over binaries, exactly-one sets from unit Eq rows; a
        binary conflicting with every free member of an exactly-one set
-       can never be 1.  Fixings re-enter the propagation worklist; their
-       events carry row -1 so a re-apply always re-derives them (their
-       justification spans several rows). *)
+       can never be 1.  Fixings re-enter the propagation worklist. *)
     if enabled Probe then begin
       let is_binary j =
         integer.(j) && wlb.(j) >= -.islack && wub.(j) <= 1. +. islack
@@ -682,8 +566,6 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
                       wub.(v) <- 0.;
                       incr probe_fixed;
                       incr tightenings;
-                      events := (v, -1) :: !events;
-                      incr nevents;
                       again := true;
                       enqueue_var v
                     end)
@@ -693,94 +575,11 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
       done
     end;
     (* Final redundancy sweep at the fixpoint bounds, so the verdict set
-       never depends on worklist order (template re-apply and
-       from-scratch runs agree).  On a re-apply, an untouched template
-       row whose support bounds sit exactly at the template fixpoint —
-       no taint, no tightening this run, and by the [touched_since]
-       contract no new column — sees the very inputs the template's own
-       sweep saw, so its verdict is adopted instead of recomputed; only
-       rows reachable from a moved bound pay for their activities. *)
-    if enabled Propagate then begin
-      let adopt =
-        match !reuse_ctx with
-        | Some (touched, tr_nrows, tmpl_active, changed, replay_base) ->
-            (* [changed] starts as the taint array; fold in every bound
-               moved after the adopt replay (drain tightenings and probe
-               fixings all append events, so the log head is exactly the
-               delta). *)
-            let rec mark l k =
-              if k > 0 then
-                match l with
-                | (j, _) :: tl ->
-                    changed.(j) <- true;
-                    mark tl (k - 1)
-                | [] -> ()
-            in
-            mark !events (!nevents - replay_base);
-            let full = Array.make m false in
-            for i = 0 to m - 1 do
-              if i >= tr_nrows || touched.(i) then full.(i) <- true
-            done;
-            for j = 0 to n - 1 do
-              if changed.(j) then begin
-                let adjp, adj = Lazy.force adjacency in
-                for k = adjp.(j) to adjp.(j + 1) - 1 do
-                  full.(adj.(k)) <- true
-                done
-              end
-            done;
-            Some (full, tmpl_active)
-        | None -> None
-      in
+       never depends on worklist order. *)
+    if enabled Propagate then
       for i = 0 to m - 1 do
-        if active.(i) then begin
-          match adopt with
-          | Some (full, tmpl_active) when not full.(i) ->
-              if not tmpl_active.(i) then begin
-                active.(i) <- false;
-                incr redundant_rows
-              end
-          | _ -> (
-              let row = p.Simplex.rows.(i) and rhs = p.Simplex.rhs.(i) in
-              activity row wlb wub act;
-              let amin = act.amin and amax = act.amax in
-              match p.Simplex.senses.(i) with
-              | Model.Le ->
-                  if amin > rhs +. feas then
-                    raise (Infeasible (Printf.sprintf "row %d infeasible" i));
-                  if amax <= rhs +. tol then begin
-                    active.(i) <- false;
-                    incr redundant_rows
-                  end
-              | Model.Ge ->
-                  if amax < rhs -. feas then
-                    raise (Infeasible (Printf.sprintf "row %d infeasible" i));
-                  if amin >= rhs -. tol then begin
-                    active.(i) <- false;
-                    incr redundant_rows
-                  end
-              | Model.Eq ->
-                  if amin > rhs +. feas || amax < rhs -. feas then
-                    raise (Infeasible (Printf.sprintf "row %d infeasible" i));
-                  if amin >= rhs -. tol && amax <= rhs +. tol then begin
-                    active.(i) <- false;
-                    incr redundant_rows
-                  end)
-        end
-      done
-    end;
-    let tr =
-      {
-        tr_ncols = n;
-        tr_nrows = m;
-        tr_lb0 = Array.copy lb;
-        tr_ub0 = Array.copy ub;
-        tr_lb = Array.copy wlb;
-        tr_ub = Array.copy wub;
-        tr_events = Array.of_list (List.rev !events);
-        tr_active = Array.copy active;
-      }
-    in
+        if active.(i) then process ~propagate:false i
+      done;
     (* ---------------- column passes ---------------- *)
     (* 0 = kept, 1 = fixed, 2 = empty-fixed, 3 = substituted *)
     let col_mark = Array.make n 0 in
@@ -1181,8 +980,6 @@ let reduce ?(max_rounds = 16) ?(tol = 1e-9) ?(passes = all_passes) ?essential ?r
         red_lb;
         red_ub;
         red_post = post;
-        red_trace = tr;
         red_stats = stats;
-        red_reapplied = !reapplied;
       }
   with Infeasible why -> Reduce_infeasible why

@@ -5,13 +5,13 @@
     - {!run} is the light per-node engine used inside branch & bound —
       activity-based bound propagation plus row-redundancy detection,
       nothing that would need an index mapping.
-    - {!reduce} is the full root/template reduction stack: worklist
+    - {!reduce} is the full root reduction stack: worklist
       bound propagation, probing over the 0-1 routing structure,
       parallel-row collapsing, fixed/empty column elimination, free
       column-singleton substitution, and coefficient strengthening.  It
       returns a genuinely smaller {!Simplex.problem} together with a
       {!Postsolve.t} record that maps reduced solutions (and cuts) back
-      to the original index space, plus a re-usable {!trace}.
+      to the original index space.
 
     Every tolerance in this module derives from the single [tol]
     parameter: bound improvements must exceed [tol]; infeasibility is
@@ -124,28 +124,6 @@ type pass_stats = {
           changed for [Strengthen]. *)
 }
 
-type trace = {
-  tr_ncols : int;
-  tr_nrows : int;
-  tr_lb0 : float array;  (** Variable bounds the run started from. *)
-  tr_ub0 : float array;
-  tr_lb : float array;  (** Propagation-fixpoint bounds. *)
-  tr_ub : float array;
-  tr_events : (int * int) array;
-      (** Chronological tightening log [(var, justifying row)].
-          Probing fixings carry row [-1]: their justification spans
-          several rows, so a re-apply always re-derives them. *)
-  tr_active : bool array;
-      (** Per-row activity verdict at the propagation-phase end (false
-          = proven redundant).  A re-apply adopts the verdict for
-          untouched rows whose support bounds still sit exactly at the
-          template fixpoint instead of recomputing their activities. *)
-}
-(** A replayable record of one {!reduce} propagation.  Passing it back
-    via [?reuse] lets the next call adopt every tightening whose
-    derivation chain avoids the changed rows, instead of propagating
-    from scratch — the template-presolve path of the K* sweep. *)
-
 type reduction = {
   red_problem : Simplex.problem;
       (** The reduced problem.  Its [obj_const] already folds the
@@ -155,10 +133,7 @@ type reduction = {
   red_lb : float array;
   red_ub : float array;
   red_post : Postsolve.t;
-  red_trace : trace;
   red_stats : pass_stats list;  (** One entry per pass in {!all_passes}. *)
-  red_reapplied : bool;
-      (** [true] when a [?reuse] trace seeded this run. *)
 }
 
 type reduce_outcome = Reduced of reduction | Reduce_infeasible of string
@@ -168,7 +143,6 @@ val reduce :
   ?tol:float ->
   ?passes:pass list ->
   ?essential:bool array ->
-  ?reuse:trace * int list ->
   Simplex.problem ->
   integer:bool array ->
   lb:float array ->
@@ -180,14 +154,4 @@ val reduce :
 
     [?essential] marks original columns that must survive in the
     reduced problem (e.g. variables referenced by warm-start cuts);
-    they are never substituted out.
-
-    [?reuse] is [(trace, touched_rows)] from a previous call on a
-    template of this problem: [touched_rows] are the indices of rows
-    rewritten in place since the trace was recorded
-    ({!Model.touched_since}); rows past [trace.tr_nrows] are treated as
-    new automatically.  Tightenings whose derivation avoids the delta
-    are adopted wholesale; only the delta and what it taints is
-    re-propagated.  The final row-redundancy sweep always runs over all
-    rows at the fixpoint bounds, so re-applied and from-scratch runs
-    reach identical verdicts. *)
+    they are never substituted out. *)

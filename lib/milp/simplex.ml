@@ -200,7 +200,6 @@ type state = {
   mutable degen_count : int;
   mutable bland : bool;
   mutable price_ptr : int;  (* partial-pricing scan cursor *)
-  mutable age : int;  (* basis updates since the last factorization *)
 }
 
 let pivot_tol = 1e-9
@@ -307,7 +306,6 @@ let refactorize st =
   match factor_basis ~m:st.m st.colp st.coli st.colv st.basis with
   | Some lu ->
       st.kern <- lu;
-      st.age <- 0;
       st.d_fresh <- false;
       recompute_xb st;
       true
@@ -321,7 +319,6 @@ let refactorize st =
    basic values. *)
 let kernel_update st r w =
   let stable = Lu.replace st.kern ~r ~alpha:w.(r) in
-  st.age <- st.age + 1;
   if (not stable) || Lu.stale st.kern then ignore (refactorize st)
 
 (* ------------------------------------------------------------------ *)
@@ -652,8 +649,8 @@ let prepare_workspace (ws : workspace) p ~lb:wlb ~ub:wub =
   done
 
 (* A solver state over the arrays [prepare_workspace] sized, with
-   basis factor [kern] of age [age]. *)
-let state_of_workspace ~pricing ~harris (ws : workspace) p ~kern ~age =
+   basis factor [kern]. *)
+let state_of_workspace ~pricing ~harris (ws : workspace) p ~kern =
   let m = Array.length p.rows in
   { p; m; ntot = p.ncols + (2 * m);
     colp = ws.colp; coli = ws.coli; colv = ws.colv;
@@ -663,7 +660,7 @@ let state_of_workspace ~pricing ~harris (ws : workspace) p ~kern ~age =
     dred = ws.a_dred; dw = ws.a_dw; wflip = ws.a_wflip;
     cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr; cnd_o = ws.a_cndo;
     d_valid = false; d_fresh = false; niter = 0; degen_count = 0; bland = false;
-    price_ptr = 0; age }
+    price_ptr = 0 }
 
 let init_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub =
   prepare_workspace ws p ~lb ~ub;
@@ -731,7 +728,7 @@ let init_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub =
   (* The starting basis matrix is a ±1 diagonal, whose factorization
      cannot fail. *)
   match factor_basis ~m colp coli colv basis with
-  | Some kern -> state_of_workspace ~pricing ~harris ws p ~kern ~age:0
+  | Some kern -> state_of_workspace ~pricing ~harris ws p ~kern
   | None -> invalid_arg "Simplex.init_state: singular starting basis"
 
 (* Rebuild a solver state from a prior optimal basis under new working
@@ -783,14 +780,13 @@ let warm_state ~pricing ~harris ~(ws : workspace) p ~lb ~ub (b : Basis.t) =
   let restored =
     match b.Basis.factor with
     | Some f when (not (Lu.factor_stale f)) && Lu.factor_dim f = m ->
-        Some (Lu.of_factor f, Basis.age b)
-    | Some _ | None ->
-        Option.map (fun lu -> (lu, 0)) (factor_basis ~m ws.colp ws.coli ws.colv ws.a_basis)
+        Some (Lu.of_factor f)
+    | Some _ | None -> factor_basis ~m ws.colp ws.coli ws.colv ws.a_basis
   in
   match restored with
   | None -> None
-  | Some (kern, age) ->
-      let st = state_of_workspace ~pricing ~harris ws p ~kern ~age in
+  | Some kern ->
+      let st = state_of_workspace ~pricing ~harris ws p ~kern in
       recompute_xb st;
       Some st
 
@@ -1337,7 +1333,7 @@ let tableau p ~lb ~ub b =
       warm_state ~pricing:Dantzig ~harris:false ~ws:(create_workspace ()) p ~lb ~ub b
     with
     | None -> None
-    | Some st when not (st.age = 0 || refactorize st) ->
+    | Some st when not (Lu.updates st.kern = 0 || refactorize st) ->
         (* Cut coefficients are linear in B^{-1}; a factor that cannot
            be re-verified by factorization would yield invalid cuts. *)
         None

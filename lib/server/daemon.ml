@@ -241,13 +241,13 @@ let solve_lp t ~text ~(o : Protocol.overrides) ~budget ~interrupt
 
 let solve_workload t ~name ~kstar ~(o : Protocol.overrides) ~budget ~interrupt
     ~on_incumbent =
-  match Workload.find name with
+  match Archex.Scenario.find name with
   | Error e -> Protocol.Error_msg e
   | Ok w -> (
       let kstar = max 1 kstar in
       let cfg = request_config t ~kstar ~budget ~o ~interrupt ~on_incumbent in
       let build () =
-        match Workload.instance w with
+        match Archex.Scenario.instance w with
         | Error e -> failwith ("scenario build failed: " ^ e)
         | Ok inst -> (
             match Session.create cfg inst with

@@ -10,9 +10,9 @@
       victim selection instead of oversubscribing the machine;
     - an {!Admission} gate bounding concurrent solves and the waiting
       room, with [Rejected] backpressure frames beyond both;
-    - a {!Session_cache} of warm {!Archex.Session}s keyed by workload
+    - a {!Session_cache} of warm {!Archex.Session}s keyed by scenario
       name, so repeated requests for a template reuse its path pools,
-      presolve trace, cut carry and incumbent;
+      cut carry and incumbent;
     - a Unix-domain listening socket speaking {!Protocol}.
 
     {!run} owns the accept loop: one handler thread per connection,

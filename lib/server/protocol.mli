@@ -30,7 +30,7 @@ type solve_payload =
       (** An LP-format model ({!Milp.Lp_format} subset); solved at the
           MILP layer, no session cache. *)
   | Workload of { name : string; kstar : int }
-      (** A named scenario from {!Workload}; served from the
+      (** A named scenario from {!Archex.Scenario}; served from the
           template-keyed session cache. *)
 
 type overrides = {
@@ -43,9 +43,8 @@ type overrides = {
           enforced on the daemon's monotonic {!Milp.Clock}. *)
   o_presolve : bool option;
       (** Toggle the presolve reduction stack for this request; [None]
-          keeps the daemon default.  A warm cached session whose
-          presolve setting changes resets its recorded reduction trace
-          ({!Archex.Session.reconfigure}). *)
+          keeps the daemon default; a warm cached session takes it
+          through {!Archex.Session.reconfigure}. *)
   o_heuristic : string option;
       (** Primal matheuristic mode for this request: ["tabu"] or
           ["off"]; [None] keeps the daemon default. *)

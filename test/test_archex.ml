@@ -1178,6 +1178,33 @@ let test_regression_kstar_cutoff_monotone () =
         [ 1; 3; 5 ];
       Alcotest.(check bool) "some solution found" true (not (Float.is_nan !best))
 
+(* The session's tree on Energy, pinned like the Energy node counts: a
+   first solve at K*=3, a same-K* re-solve (what a daemon cache hit at
+   the cached K* runs) and a solve after growing to K*=4.  A drift here
+   means the carried incumbent, cuts or presolve of a session solve
+   changed behaviour. *)
+let test_session_tree_pinned () =
+  match Session.create (sequential_at 3) (table1_energy 1) with
+  | Error e -> Alcotest.fail e
+  | Ok session ->
+      let first = Session.solve session in
+      let again = Session.solve session in
+      (match Session.grow session ~kstar:4 with Ok () -> () | Error e -> Alcotest.fail e);
+      let grown = Session.solve session in
+      List.iter
+        (fun (tag, (o : Outcome.t), (nodes, iters, rows, cols)) ->
+          let r = o.Outcome.mip in
+          let check what want got = Alcotest.(check int) (tag ^ ": " ^ what) want got in
+          check "nodes" nodes r.Milp.Branch_bound.nodes;
+          check "LP iterations" iters r.Milp.Branch_bound.lp_iterations;
+          check "presolve rows removed" rows r.Milp.Branch_bound.presolve_rows_removed;
+          check "presolve columns removed" cols r.Milp.Branch_bound.presolve_cols_removed)
+        [
+          ("K*=3", first, (77, 848, 32, 5));
+          ("K*=3 again", again, (95, 894, 32, 5));
+          ("K*=4", grown, (75, 766, 32, 5));
+        ]
+
 let test_regression_incremental_steps_match_fresh () =
   (* The correctness oracle for incremental sessions: each step of a
      K* sweep on one session, which carries the model, path pool, cut
@@ -1528,6 +1555,7 @@ let () =
           Alcotest.test_case "presolve node counts on energy" `Quick
             test_presolve_node_count_regression;
           Alcotest.test_case "root outputs on energy" `Quick test_root_outputs_pinned;
+          Alcotest.test_case "session tree on energy" `Quick test_session_tree_pinned;
         ] );
       ( "parallel",
         [

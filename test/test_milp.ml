@@ -697,10 +697,10 @@ let prop_presolve_strengthen_preserves_integer_points =
 (* Reduction stack + postsolve                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_reduce ?passes ?essential ?reuse m =
+let run_reduce ?passes ?essential m =
   let p = Simplex.of_model m in
   let n = Model.nvars m in
-  Presolve.reduce ?passes ?essential ?reuse p
+  Presolve.reduce ?passes ?essential p
     ~integer:(Array.init n (Model.is_integer m))
     ~lb:(Array.init n (Model.var_lb m))
     ~ub:(Array.init n (Model.var_ub m))
@@ -966,91 +966,6 @@ let test_cuts_lift_restrict () =
       let cx = { Cuts.c_row = [| (x, 1.) |]; c_rhs = 4.; c_origin = Cuts.Cover } in
       Alcotest.(check bool) "empty survivor drops" true (Cuts.restrict post cx = None)
 
-(* Template re-apply: replaying a recorded trace against a row delta
-   must land on exactly the reduction a from-scratch run reaches — same
-   index maps, same fixpoint bounds, same reduced rows. *)
-let check_same_reduction tag (a : Presolve.reduction) (b : Presolve.reduction) =
-  let pa = a.Presolve.red_post and pb = b.Presolve.red_post in
-  Alcotest.(check (array int))
-    (tag ^ ": column map") pa.Postsolve.col_of_red pb.Postsolve.col_of_red;
-  Alcotest.(check (array int)) (tag ^ ": row map") pa.Postsolve.row_of_red pb.Postsolve.row_of_red;
-  Alcotest.(check int)
-    (tag ^ ": reduced rows")
-    (Array.length a.Presolve.red_problem.Simplex.rows)
-    (Array.length b.Presolve.red_problem.Simplex.rows);
-  Array.iteri
-    (fun j v -> check_feq (Printf.sprintf "%s: lb %d" tag j) v b.Presolve.red_lb.(j))
-    a.Presolve.red_lb;
-  Array.iteri
-    (fun j v -> check_feq (Printf.sprintf "%s: ub %d" tag j) v b.Presolve.red_ub.(j))
-    a.Presolve.red_ub;
-  let ra =
-    Simplex.solve a.Presolve.red_problem ~lb:a.Presolve.red_lb ~ub:a.Presolve.red_ub
-  in
-  let rb =
-    Simplex.solve b.Presolve.red_problem ~lb:b.Presolve.red_lb ~ub:b.Presolve.red_ub
-  in
-  Alcotest.(check bool) (tag ^ ": same LP status") true (ra.Simplex.status = rb.Simplex.status);
-  if ra.Simplex.status = Status.Lp_optimal then
-    check_feq (tag ^ ": same LP objective") ra.Simplex.objective rb.Simplex.objective
-
-let test_reduce_reapply_matches_fresh () =
-  let m = Model.create () in
-  let a = Model.add_binary m "a" in
-  let b = Model.add_binary m "b" in
-  let c = Model.add_binary m "c" in
-  let x = Model.add_var m ~ub:10. "x" in
-  Model.add_constr m (Lin.of_list [ (1., a); (1., b); (1., c) ]) Model.Eq 1.;
-  Model.add_constr m (Lin.of_list [ (2., a); (3., b); (4., c) ]) Model.Le 8.;
-  Model.add_constr m (Lin.of_list [ (1., x); (-2., a) ]) Model.Le 5.;
-  Model.set_objective m Model.Minimize
-    (Lin.of_list [ (3., a); (2., b); (1., c); (1., x) ]);
-  let p1 = Simplex.of_model m in
-  let n = Model.nvars m in
-  let integer = Array.init n (Model.is_integer m) in
-  let lb = Array.init n (Model.var_lb m) and ub = Array.init n (Model.var_ub m) in
-  let trace =
-    match Presolve.reduce p1 ~integer ~lb ~ub with
-    | Presolve.Reduced r -> r.Presolve.red_trace
-    | Presolve.Reduce_infeasible err -> Alcotest.fail err
-  in
-  (* In-place rewrite of the capacity row: rhs 8 -> 2.5 forces b = c = 0
-     and hence a = 1 — the re-apply must taint a, b, c and rediscover
-     the fixings a from-scratch run derives. *)
-  let rhs2 = Array.copy p1.Simplex.rhs in
-  rhs2.(1) <- 2.5;
-  let p2 = { p1 with Simplex.rhs = rhs2 } in
-  let fresh2 =
-    match Presolve.reduce p2 ~integer ~lb ~ub with
-    | Presolve.Reduced r -> r
-    | Presolve.Reduce_infeasible err -> Alcotest.fail err
-  in
-  (match Presolve.reduce ~reuse:(trace, [ 1 ]) p2 ~integer ~lb ~ub with
-  | Presolve.Reduced r ->
-      Alcotest.(check bool) "delta run reports re-apply" true r.Presolve.red_reapplied;
-      Alcotest.(check bool) "fresh run does not" false fresh2.Presolve.red_reapplied;
-      check_same_reduction "rhs delta" fresh2 r
-  | Presolve.Reduce_infeasible err -> Alcotest.fail err);
-  (* Appended rows past the trace are treated as new automatically. *)
-  let p3 =
-    {
-      p1 with
-      Simplex.rows = Array.append p1.Simplex.rows [| [| (b, 1.); (c, 1.) |] |];
-      senses = Array.append p1.Simplex.senses [| Model.Le |];
-      rhs = Array.append p1.Simplex.rhs [| 0.5 |];
-    }
-  in
-  let fresh3 =
-    match Presolve.reduce p3 ~integer ~lb ~ub with
-    | Presolve.Reduced r -> r
-    | Presolve.Reduce_infeasible err -> Alcotest.fail err
-  in
-  match Presolve.reduce ~reuse:(trace, []) p3 ~integer ~lb ~ub with
-  | Presolve.Reduced r ->
-      Alcotest.(check bool) "appended-row run reports re-apply" true r.Presolve.red_reapplied;
-      check_same_reduction "appended row" fresh3 r
-  | Presolve.Reduce_infeasible err -> Alcotest.fail err
-
 (* Separate every in-library cut family at the root LP of a random
    binary program and check that no integer-feasible point (enumerated
    by brute force) violates any of them — the defining property of a
@@ -1279,31 +1194,6 @@ let test_bb_root_bounds_without_cuts () =
     (Float.is_nan off.Branch_bound.root_cut_bound);
   Alcotest.(check bool) "no family: cut bound is the LP bound" true
     (none.Branch_bound.root_cut_bound = none.Branch_bound.root_lp_bound)
-
-let test_bb_presolve_reapplied () =
-  (* A session's second solve re-applies the first one's reduction trace
-     once the row delta is passed; presolve off never reports a
-     re-apply. *)
-  let m = six_item_knapsack () in
-  let state = Branch_bound.create_presolve_state () in
-  let first = Branch_bound.solve ~presolve_state:state m in
-  Alcotest.(check bool) "fresh state presolves from scratch" false
-    first.Branch_bound.presolve_reapplied;
-  let mark = Model.mark m in
-  (* Items 0 and 1 become mutually exclusive. *)
-  Model.add_constr m (Lin.of_list [ (1., 0); (1., 1) ]) Model.Le 1.;
-  let touched_rows = Model.touched_since m mark in
-  let second = Branch_bound.solve ~presolve_state:state ~touched_rows m in
-  Alcotest.(check bool) "second solve re-applies the trace" true
-    second.Branch_bound.presolve_reapplied;
-  let off =
-    Branch_bound.solve
-      ~options:{ Branch_bound.default_options with Branch_bound.presolve = false }
-      ~presolve_state:state ~touched_rows m
-  in
-  Alcotest.(check bool) "presolve off never re-applies" false off.Branch_bound.presolve_reapplied;
-  check_feq "re-applied solve agrees with presolve off" off.Branch_bound.objective
-    second.Branch_bound.objective
 
 let test_model_add_range () =
   let m = Model.create () in
@@ -3192,8 +3082,6 @@ let () =
             test_strengthen_ge_wide_box;
           Alcotest.test_case "cuts lift/restrict through postsolve" `Quick
             test_cuts_lift_restrict;
-          Alcotest.test_case "trace re-apply matches from-scratch" `Quick
-            test_reduce_reapply_matches_fresh;
           qt prop_reduce_roundtrip_lp;
           qt prop_reduce_roundtrip_routing_milp;
         ] );
@@ -3219,7 +3107,6 @@ let () =
           Alcotest.test_case "cutoff under workers" `Quick test_bb_workers_cutoff;
           Alcotest.test_case "node limit under workers" `Quick test_bb_workers_node_limit;
           Alcotest.test_case "root bounds without cuts" `Quick test_bb_root_bounds_without_cuts;
-          Alcotest.test_case "presolve re-apply reported" `Quick test_bb_presolve_reapplied;
           qt prop_bb_matches_brute_force;
           qt prop_bb_solution_is_feasible;
           qt prop_bb_warm_start_invariant;

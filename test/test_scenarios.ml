@@ -328,10 +328,9 @@ let test_table1_registry_bitcompat () =
 (* ---- session reconfigure -------------------------------------------- *)
 
 let test_reconfigure_presolve_toggle () =
-  (* Toggling presolve per-request on a warm session must
-     invalidate the cached template reduction trace: parity against a
-     control session that never toggles, across grows on both sides of
-     the toggle. *)
+  (* Toggling presolve per-request on a warm session: parity against
+     a control session that never toggles, across grows on both sides
+     of the toggle. *)
   let inst = get (Scenario.instance (get (Scenario.find "dc-small-dollar"))) in
   let cfg =
     Solver_config.(
@@ -386,12 +385,9 @@ let test_config_range_checks () =
   Alcotest.(check bool) "edits reach bb_options" true
     ((not o.Milp.Branch_bound.warm_start) && not o.Milp.Branch_bound.presolve);
   Alcotest.(check bool) "strategy untouched" true (kstar c = Some 5);
-  Alcotest.(check bool) "presolve edit breaks same_presolve" true
-    (not (same_presolve base c));
   let c = with_time_limit 3. base in
   Alcotest.(check bool) "time limit reaches bb_options" true
-    ((bb_options c).Milp.Branch_bound.time_limit = 3.);
-  Alcotest.(check bool) "time limit leaves same_presolve" true (same_presolve base c)
+    ((bb_options c).Milp.Branch_bound.time_limit = 3.)
 
 let test_config_auto_workers () =
   let open Solver_config in

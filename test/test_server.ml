@@ -699,10 +699,10 @@ let small_overrides =
   }
 
 let oneshot_objective name =
-  match Server.Workload.find name with
+  match Archex.Scenario.find name with
   | Error e -> Alcotest.fail e
   | Ok w -> (
-      match Server.Workload.instance w with
+      match Archex.Scenario.instance w with
       | Error e -> Alcotest.fail e
       | Ok inst -> (
           let cfg =
