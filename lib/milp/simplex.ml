@@ -49,25 +49,27 @@ type vstat = Basis.vstat = Basic | At_lower | At_upper | Free_zero
 
 (* Everything a solve needs beyond the problem snapshot itself: the
    compressed-sparse-column image of the constraint matrix (structural
-   columns, then unit slack columns, then unit artificial columns) and
-   every working array of the solver state.  A workspace is owned by one
-   caller at a time — branch & bound keeps one per worker domain and
-   threads it through thousands of node re-solves, which removes the
-   per-solve array allocations that used to dominate minor-GC pressure.
-   The CSC image is cached on the physical identity of [p.rows]: node
-   re-solves of the same problem reuse it untouched (only the artificial
-   signs, which depend on the starting residual, are rewritten in
-   place), and a cut-grown problem misses the cache and rebuilds.
+   columns, then unit slack columns, then unit artificial columns), a
+   compressed-sparse-row image of its structural rows for the pivot
+   row, and every working array of the solver state.  A workspace is
+   owned by one caller at a time — branch & bound keeps one per worker
+   domain and threads it through thousands of node re-solves, which
+   removes the per-solve array allocations that used to dominate
+   minor-GC pressure.  The CSC and CSR images are cached on the
+   physical identity of [p.rows]: node re-solves of the same problem
+   reuse them untouched (only the artificial signs, which depend on the
+   starting residual, are rewritten in place), and a cut-grown problem
+   misses the cache and rebuilds.
 
    Working arrays ([a_*]) are exact-sized (reallocated only when the
    problem shape changes) so snapshots and tableau copies need no
-   slicing.  The CSC image itself ([coli]/[colv], plus the count/fill
-   scratch) grows monotonically and is reused across rebuilds: every
-   read goes through [colp] offsets, so spare capacity past the live
-   nonzeros is never observed.  With the presolve reduction shrinking
-   and cuts regrowing the row set every few nodes, this turns the
-   rebuild from three fresh allocations per cache miss into in-place
-   refills once high-water capacity is reached. *)
+   slicing.  The images themselves ([coli]/[colv], [rowj]/[rowv], plus
+   the count/fill scratch) grow monotonically and are reused across
+   rebuilds: every read goes through [colp]/[rowp] offsets, so spare
+   capacity past the live nonzeros is never observed.  With the
+   presolve reduction shrinking and cuts regrowing the row set every
+   few nodes, this turns the rebuild from fresh allocations per cache
+   miss into in-place refills once high-water capacity is reached. *)
 type workspace = {
   mutable c_rows : (int * float) array array;  (* CSC cache key *)
   mutable c_n : int;
@@ -76,6 +78,9 @@ type workspace = {
   mutable coli : int array;  (* row indices *)
   mutable colv : floatarray;  (* values, parallel to [coli] *)
   mutable c_scratch : int array;  (* counts/fill cursors for rebuilds *)
+  mutable rowp : int array;  (* CSR image of the structural rows: starts, length >= m+1 *)
+  mutable rowj : int array;  (* column indices *)
+  mutable rowv : floatarray;  (* values, parallel to [rowj] *)
   mutable a_lb : float array;  (* working bounds, length ntot *)
   mutable a_ub : float array;
   mutable a_cost : float array;
@@ -93,26 +98,34 @@ type workspace = {
   mutable a_cnda : float array;
   mutable a_cndr : float array;
   mutable a_cndo : int array;  (* their ratio order (bound flipping) *)
+  mutable a_alpha : float array;  (* pivot row, column-indexed *)
+  mutable a_touch : int array;  (* the columns it touched *)
+  mutable a_mark : Bytes.t;  (* first-touch marks, all clear between calls *)
 }
 
 let create_workspace () =
   {
     c_rows = [||]; c_n = -1; c_m = -1;
     colp = [| 0 |]; coli = [||]; colv = FA.create 0; c_scratch = [||];
+    rowp = [| 0 |]; rowj = [||]; rowv = FA.create 0;
     a_lb = [||]; a_ub = [||]; a_cost = [||]; a_stat = [||];
     a_basis = [||]; a_xb = [||]; a_wy = [||]; a_ww = [||];
     a_wrho = [||]; a_wres = [||]; a_dred = [||]; a_dw = [||];
     a_wflip = [||]; a_cnd = [||]; a_cnda = [||]; a_cndr = [||]; a_cndo = [||];
+    a_alpha = [||]; a_touch = [||]; a_mark = Bytes.empty;
   }
 
 let ensure_f a n = if Array.length a = n then a else Array.make n 0.
 let ensure_i a n = if Array.length a = n then a else Array.make n 0
 let ensure_s a n = if Array.length a = n then a else Array.make n At_lower
+let ensure_b b n = if Bytes.length b = n then b else Bytes.make n '\000'
 
-(* Build (or reuse) the CSC image of the full column set.  Structural
-   entries appear in the same row-major order the old per-column tuple
-   arrays held, so dot products against them are arithmetically
-   identical to the PR5 kernel. *)
+(* Build (or reuse) the CSC image of the full column set, and next to
+   it, under the same cache key, the CSR image of the structural rows
+   that {!pivot_row} walks.  Structural entries appear in the same
+   row-major order the old per-column tuple arrays held, so dot
+   products against them are arithmetically identical to the PR5
+   kernel. *)
 let build_csc ws p m =
   let n = p.ncols in
   let ntot = n + (2 * m) in
@@ -140,19 +153,30 @@ let build_csc ws p m =
     if Array.length ws.coli < nnz then ws.coli <- Array.make nnz 0;
     if FA.length ws.colv < nnz then ws.colv <- FA.create nnz;
     let coli = ws.coli and colv = ws.colv in
+    let snnz = colp.(n) in
+    if Array.length ws.rowp < m + 1 then ws.rowp <- Array.make (m + 1) 0;
+    if Array.length ws.rowj < snnz then ws.rowj <- Array.make snnz 0;
+    if FA.length ws.rowv < snnz then ws.rowv <- FA.create snnz;
+    let rowp = ws.rowp and rowj = ws.rowj and rowv = ws.rowv in
     (* [counts] is consumed; reuse its prefix as per-column fill cursors. *)
     Array.fill counts 0 n 0;
     let fill = counts in
+    let r = ref 0 in
     Array.iteri
       (fun i row ->
+        rowp.(i) <- !r;
         Array.iter
           (fun (j, a) ->
             let k = colp.(j) + fill.(j) in
             coli.(k) <- i;
             FA.set colv k a;
-            fill.(j) <- fill.(j) + 1)
+            fill.(j) <- fill.(j) + 1;
+            rowj.(!r) <- j;
+            FA.set rowv !r a;
+            incr r)
           row)
       p.rows;
+    rowp.(m) <- !r;
     for i = 0 to m - 1 do
       coli.(colp.(n + i)) <- i;
       FA.set colv colp.(n + i) 1.0;
@@ -171,6 +195,9 @@ type state = {
   colp : int array;  (* CSC columns, see {!workspace} *)
   coli : int array;
   colv : floatarray;
+  rowp : int array;  (* CSR structural rows, see {!build_csc} *)
+  rowj : int array;
+  rowv : floatarray;
   lb : float array;  (* working bounds, length ntot *)
   ub : float array;
   stat : vstat array;
@@ -194,6 +221,9 @@ type state = {
   cnd_a : float array;  (* their pivot-row coefficients *)
   cnd_r : float array;  (* their dual ratios *)
   cnd_o : int array;  (* candidate indices in ratio order *)
+  alpha : float array;  (* pivot row alpha_r, read through [touch] *)
+  touch : int array;  (* columns of the last {!pivot_row}, first-touch order *)
+  mark : Bytes.t;  (* {!pivot_row}'s first-touch marks *)
   mutable d_valid : bool;  (* [dred] tracks the current basis *)
   mutable d_fresh : bool;  (* [dred] is exactly what [refresh_dred] would give *)
   mutable niter : int;
@@ -252,7 +282,9 @@ let binv_row st r =
   Lu.btran st.kern st.wrho
 
 (* [binv_row st r; compute_duals st], bit for bit, with one paired
-   BTRAN sweep over the factor instead of two. *)
+   BTRAN sweep over the factor instead of two.  Only the dual loop's
+   fresh pivots use it: the first of each call and the one after a
+   drift check fires ({!dual_simplex}). *)
 let binv_row_and_duals st r =
   Array.fill st.wrho 0 st.m 0.;
   st.wrho.(r) <- 1.0;
@@ -281,6 +313,45 @@ let[@inline] rho_dot st rho j =
     a := !a +. (rho.(Array.unsafe_get st.coli k) *. FA.unsafe_get st.colv k)
   done;
   !a
+
+(* The pivot row alpha_r = rho^T [A I] over the rows where rho is
+   nonzero: the structural part from the CSR image, then each such
+   row's slack and artificial unit column.  Fills [st.alpha] for the
+   columns it lists in [st.touch], in first-touch order, and returns
+   their count; entries of [st.alpha] off that list are stale.  Rows
+   are visited in increasing order, so every alpha_rj adds the same
+   products in the same order as [rho_dot] and the two agree bit for
+   bit (up to the sign of a zero).  Allocates nothing. *)
+let pivot_row st rho =
+  let n = st.p.ncols and m = st.m in
+  let alpha = st.alpha and touch = st.touch and mark = st.mark in
+  let cnt = ref 0 in
+  for i = 0 to m - 1 do
+    let ri = rho.(i) in
+    if ri <> 0. then begin
+      for k = st.rowp.(i) to st.rowp.(i + 1) - 1 do
+        let j = Array.unsafe_get st.rowj k in
+        let v = ri *. FA.unsafe_get st.rowv k in
+        if Bytes.unsafe_get mark j = '\000' then begin
+          Bytes.unsafe_set mark j '\001';
+          alpha.(j) <- v;
+          touch.(!cnt) <- j;
+          incr cnt
+        end
+        else alpha.(j) <- alpha.(j) +. v
+      done;
+      let s = n + i and a = n + m + i in
+      alpha.(s) <- ri;
+      alpha.(a) <- ri *. FA.get st.colv st.colp.(a);
+      touch.(!cnt) <- s;
+      touch.(!cnt + 1) <- a;
+      cnt := !cnt + 2
+    end
+  done;
+  for t = 0 to !cnt - 1 do
+    Bytes.unsafe_set mark (Array.unsafe_get touch t) '\000'
+  done;
+  !cnt
 
 (* xb = B^{-1} (b - N x_N) under the current kernel and bounds. *)
 let recompute_xb st =
@@ -396,9 +467,9 @@ let price st ~dual_tol =
    reference framework (the nonbasic set at the last reset, where all
    gamma = 1).  Reduced costs are maintained incrementally from the
    pivot row — see {!devex_update} — so a pricing pass is a flat scan of
-   two unboxed arrays, with a full refresh (one BTRAN + column sweep)
-   only at phase entry, periodically for drift control, and to confirm
-   optimality before it is declared. *)
+   two unboxed arrays, with a full refresh (BTRAN of the duals + column
+   sweep) only at phase entry, periodically for drift control, and to
+   confirm optimality before it is declared. *)
 let refresh_dred st =
   compute_duals st;
   let y = st.wy in
@@ -429,23 +500,26 @@ let devex_price st ~dual_tol =
 
 (* Post-ratio-test devex bookkeeping, called {e before} the basis
    changes: with entering column [q] pivoting at row [r] (pivot element
-   [alpha_rq] = its FTRAN image at [r]), one BTRAN gives the pivot row
-   rho, and one sweep over the nonbasic columns updates both the
-   maintained reduced costs (d_j -= theta * alpha_rj) and the devex
-   weights (gamma_j = max(gamma_j, alpha_rj^2 * gamma_q / alpha_rq^2)).
-   The leaving variable enters the nonbasic set with the transformed
-   weight of the entering one.  Weights that outgrow 1e8 trigger a
-   reference reset (all gamma back to 1). *)
+   [alpha_rq] = its FTRAN image at [r]), one BTRAN gives rho = e_r^T
+   B^-1, {!pivot_row} turns it into the pivot row over rho's nonzero
+   rows, and one pass over the columns that row touched updates both
+   the maintained reduced costs (d_j -= theta * alpha_rj) and the devex
+   weights (gamma_j = max(gamma_j, alpha_rj^2 * gamma_q / alpha_rq^2));
+   an untouched column has alpha_rj = 0 and keeps both.  The leaving
+   variable enters the nonbasic set with the transformed weight of the
+   entering one.  Weights that outgrow 1e8 trigger a reference reset
+   (all gamma back to 1). *)
 let devex_update st ~q ~r ~alpha_rq =
   binv_row st r;
-  let rho = st.wrho in
+  let nrow = pivot_row st st.wrho in
   let leaving = st.basis.(r) in
   let theta = st.dred.(q) /. alpha_rq in
   let gq = st.dw.(q) /. (alpha_rq *. alpha_rq) in
   let wmax = ref 1.0 in
-  for j = 0 to st.ntot - 1 do
+  for t = 0 to nrow - 1 do
+    let j = st.touch.(t) in
     if j <> q && st.stat.(j) <> Basic then begin
-      let arj = rho_dot st rho j in
+      let arj = st.alpha.(j) in
       if arj <> 0. then begin
         st.dred.(j) <- st.dred.(j) -. (theta *. arj);
         let cand = arj *. arj *. gq in
@@ -631,6 +705,9 @@ let prepare_workspace (ws : workspace) p ~lb:wlb ~ub:wub =
   ws.a_cnda <- ensure_f ws.a_cnda ntot;
   ws.a_cndr <- ensure_f ws.a_cndr ntot;
   ws.a_cndo <- ensure_i ws.a_cndo ntot;
+  ws.a_alpha <- ensure_f ws.a_alpha ntot;
+  ws.a_touch <- ensure_i ws.a_touch ntot;
+  ws.a_mark <- ensure_b ws.a_mark ntot;
   let lb = ws.a_lb and ub = ws.a_ub in
   Array.blit wlb 0 lb 0 n;
   Array.blit wub 0 ub 0 n;
@@ -654,11 +731,13 @@ let state_of_workspace ~pricing ~harris (ws : workspace) p ~kern =
   let m = Array.length p.rows in
   { p; m; ntot = p.ncols + (2 * m);
     colp = ws.colp; coli = ws.coli; colv = ws.colv;
+    rowp = ws.rowp; rowj = ws.rowj; rowv = ws.rowv;
     lb = ws.a_lb; ub = ws.a_ub; stat = ws.a_stat; basis = ws.a_basis;
     pricing; harris; kern; xb = ws.a_xb; cost = ws.a_cost;
     wy = ws.a_wy; ww = ws.a_ww; wrho = ws.a_wrho; wres = ws.a_wres;
     dred = ws.a_dred; dw = ws.a_dw; wflip = ws.a_wflip;
     cnd = ws.a_cnd; cnd_a = ws.a_cnda; cnd_r = ws.a_cndr; cnd_o = ws.a_cndo;
+    alpha = ws.a_alpha; touch = ws.a_touch; mark = ws.a_mark;
     d_valid = false; d_fresh = false; niter = 0; degen_count = 0; bland = false;
     price_ptr = 0 }
 
@@ -862,15 +941,41 @@ let heap_sort cmp a l =
 
 type dual_outcome = Dual_feasible | Dual_proven_infeasible | Dual_stalled
 
+(* The dual pivot's update of the maintained reduced costs, run before
+   the basis changes: d_j -= theta * alpha_rj over the nonbasic,
+   non-fixed columns among the [nrow] that the pivot row lists in
+   [st.touch], then d_q = 0 for the entering column and d = -theta for
+   the leaving one, theta = d_q / alpha_rq.  Fixed columns never price
+   in the dual loop, so their entries are left stale. *)
+let update_dred st ~nrow ~q ~leaving =
+  let theta = st.dred.(q) /. st.alpha.(q) in
+  for t = 0 to nrow - 1 do
+    let j = st.touch.(t) in
+    if j <> q && st.stat.(j) <> Basic && st.lb.(j) < st.ub.(j) then
+      st.dred.(j) <- st.dred.(j) -. (theta *. st.alpha.(j))
+  done;
+  st.dred.(q) <- 0.;
+  st.dred.(leaving) <- -.theta
+
 (* Bounded-variable dual simplex: starting from a (near) dual-feasible
    basis whose basic values may violate the new bounds, drive every
    basic variable back inside its bounds while keeping the reduced
    costs signed.  Each round picks the most violated basic variable,
-   prices the candidate entering columns against row r of B^{-1}
-   (one BTRAN), and pivots on the smallest dual ratio |d_j / alpha_j|.
-   Failure of the ratio test is a primal infeasibility certificate: the
-   violated row proves no setting of the nonbasic variables can pull the
-   basic one back inside its bounds.
+   prices the candidate entering columns against row r of B^{-1}, and
+   pivots on the smallest dual ratio |d_j / alpha_j|.  Failure of the
+   ratio test is a primal infeasibility certificate: the violated row
+   proves no setting of the nonbasic variables can pull the basic one
+   back inside its bounds.
+
+   The reduced costs d_j are maintained from pivot to pivot in
+   [st.dred].  The first pivot of a call is fresh: one paired BTRAN
+   gives rho and the duals, and a walk over every column computes
+   alpha_rj and d_j.  Every later pivot runs one BTRAN for rho, builds
+   the pivot row over rho's nonzero rows ({!pivot_row}) and reads d_j
+   from [st.dred]; each pivot then updates d along the pivot row
+   ({!update_dred}).  A drift check compares the pivot row's alpha_rq
+   with the FTRAN's; if they differ by more than 1e-9 (1 + |alpha|),
+   the next pivot is fresh again.
 
    With [st.harris] set, the entering choice runs the bound-flipping
    (long-step) ratio test instead: the candidate breakpoints are walked
@@ -881,7 +986,7 @@ type dual_outcome = Dual_feasible | Dual_proven_infeasible | Dual_stalled
    basic values for all flips at once.  Boxed 0-1 routing variables
    thus cross the box in O(1) bookkeeping instead of one pivot each. *)
 let dual_simplex st ~max_pivots ~feas_tol ~deadline =
-  let rec loop pivots =
+  let rec loop pivots ~fresh =
     if pivots >= max_pivots then Dual_stalled
     else if
       Float.is_finite deadline
@@ -910,24 +1015,46 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
       else begin
         let r = !r and high = !high and viol = !viol in
         let k = st.basis.(r) in
-        binv_row_and_duals st r;
-        let rho = st.wrho and y = st.wy in
+        (* The pivot row: the [nrow] columns listed in [st.touch], with
+           alpha_rj in [st.alpha]. *)
+        let nrow =
+          if fresh then begin
+            binv_row_and_duals st r;
+            let rho = st.wrho and y = st.wy in
+            (* One walk over column j accumulates both alpha_rj (as
+               [rho_dot]) and d_j (as [reduced_cost]), each in its own
+               order, for every nonbasic, non-fixed column. *)
+            let nw = ref 0 in
+            for j = 0 to st.ntot - 1 do
+              if st.stat.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
+                let a = ref 0. and d = ref st.cost.(j) in
+                for e = st.colp.(j) to st.colp.(j + 1) - 1 do
+                  let i = Array.unsafe_get st.coli e and v = FA.unsafe_get st.colv e in
+                  a := !a +. (rho.(i) *. v);
+                  d := !d -. (y.(i) *. v)
+                done;
+                st.alpha.(j) <- !a;
+                st.dred.(j) <- !d;
+                st.touch.(!nw) <- j;
+                incr nw
+              end
+            done;
+            !nw
+          end
+          else begin
+            binv_row st r;
+            pivot_row st st.wrho
+          end
+        in
         (* s * alpha_j > 0 means raising x_j moves x_k toward the
            violated bound, so nonbasics at lower (free to rise) need
-           s*alpha > 0 and nonbasics at upper need s*alpha < 0.  One
-           walk over column j accumulates both alpha_rj (as [rho_dot])
-           and d_j (as [reduced_cost]), each in its own order. *)
+           s*alpha > 0 and nonbasics at upper need s*alpha < 0. *)
         let s = if high then 1.0 else -1.0 in
         let ncand = ref 0 in
-        for j = 0 to st.ntot - 1 do
+        for t = 0 to nrow - 1 do
+          let j = st.touch.(t) in
           if st.stat.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-            let a = ref 0. and d = ref st.cost.(j) in
-            for e = st.colp.(j) to st.colp.(j + 1) - 1 do
-              let i = Array.unsafe_get st.coli e and v = FA.unsafe_get st.colv e in
-              a := !a +. (rho.(i) *. v);
-              d := !d -. (y.(i) *. v)
-            done;
-            let a = !a in
+            let a = st.alpha.(j) in
             let sa = s *. a in
             let eligible =
               match st.stat.(j) with
@@ -940,7 +1067,7 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
               let c = !ncand in
               st.cnd.(c) <- j;
               st.cnd_a.(c) <- a;
-              st.cnd_r.(c) <- Float.max 0. (!d /. sa);
+              st.cnd_r.(c) <- Float.max 0. (st.dred.(j) /. sa);
               incr ncand
             end
           end
@@ -1037,23 +1164,29 @@ let dual_simplex st ~max_pivots ~feas_tol ~deadline =
             else begin
               let bound = if high then st.ub.(k) else st.lb.(k) in
               let delta = (st.xb.(r) -. bound) /. alpha in
+              (* Drift check: the pivot row and the FTRAN must agree on
+                 the pivot element, or the next pivot recomputes the
+                 duals. *)
+              let arq = st.alpha.(j) in
+              let drift = Float.abs (arq -. alpha) > 1e-9 *. (1. +. Float.abs alpha) in
+              update_dred st ~nrow ~q:j ~leaving:k;
               st.niter <- st.niter + 1;
               apply_step st 1.0 w delta;
               pivot st j 1.0 w r delta ~to_upper:high;
-              loop (pivots + 1)
+              loop (pivots + 1) ~fresh:drift
             end
           end
         end
       end
     end
   in
-  loop 0
+  loop 0 ~fresh:true
 
 (* Run simplex iterations under the current [st.cost] until no entering
    column is found.  Returns [Ok ()] at phase optimality.
 
    Devex mode maintains the reduced costs incrementally (the pivot-row
-   sweep in {!devex_update} pays for both the weight and the cost
+   pass in {!devex_update} pays for both the weight and the cost
    update), refreshing them from the duals at phase entry, every
    [dred_period] iterations, after a Bland excursion, and — always —
    before optimality is declared, so a drifted estimate can never
@@ -1414,3 +1547,41 @@ let solve_model ?max_iterations m =
         | Status.Lp_optimal | Status.Lp_iteration_limit -> -.r.objective
       in
       { r with objective }
+
+module Probe = struct
+  type t = state
+
+  let warm p ~lb ~ub b =
+    if not (Basis.compatible b ~ncols:p.ncols ~nrows:(Array.length p.rows) && Basis.well_formed b)
+    then None
+    else warm_state ~pricing:Devex ~harris:true ~ws:(create_workspace ()) p ~lb ~ub b
+
+  let updates st = Lu.updates st.kern
+
+  let dual st ~max_pivots =
+    let before = st.niter in
+    ignore (dual_simplex st ~max_pivots ~feas_tol:1e-7 ~deadline:infinity);
+    st.niter - before
+
+  let binv_row st r =
+    binv_row st r;
+    Array.copy st.wrho
+
+  let pivot_row st rho =
+    let nrow = pivot_row st rho in
+    Array.init nrow (fun t ->
+        let j = st.touch.(t) in
+        (j, st.alpha.(j)))
+
+  let rho_dot st rho j = rho_dot st rho j
+
+  let reduced_costs st =
+    let kept = Array.copy st.dred in
+    refresh_dred st;
+    let out = ref [] in
+    for j = st.ntot - 1 downto 0 do
+      if st.stat.(j) <> Basic && st.lb.(j) < st.ub.(j) then
+        out := (j, kept.(j), st.dred.(j)) :: !out
+    done;
+    Array.of_list !out
+end

@@ -22,9 +22,10 @@
     smallest-ratio tests.
 
     Hot working storage (bounds, statuses, scratch vectors, the CSC
-    image of the constraint matrix) lives in a {!workspace} arena that
-    callers may reuse across re-solves — branch & bound keeps one per
-    worker domain — eliminating per-solve allocation on node re-solves.
+    image of the constraint matrix and a CSR image of its rows) lives
+    in a {!workspace} arena that callers may reuse across re-solves —
+    branch & bound keeps one per worker domain — eliminating per-solve
+    allocation on node re-solves.
 
     Variable bounds may be infinite.  Maximization is handled by the
     caller negating the objective (see {!Branch_bound} and {!solve_model}).
@@ -36,8 +37,12 @@
     {!Basis.t}: the snapshot's factor is reopened under the new bounds
     and primal feasibility is restored by a bounded-variable {e dual}
     simplex loop — a handful of pivots when only a few bounds changed —
-    before the primal phase confirms optimality.  A stale, singular, or
-    stalling basis silently falls back to the cold two-phase path. *)
+    before the primal phase confirms optimality.  The dual loop keeps
+    its reduced costs up to date from pivot to pivot, so after the
+    first pivot of a call each pivot costs one BTRAN for a row of
+    [B⁻¹] and a pivot row built from that row's nonzero entries.  A
+    stale, singular, or stalling basis silently falls back to the cold
+    two-phase path. *)
 
 type problem = {
   ncols : int;  (** Number of structural variables. *)
@@ -53,11 +58,12 @@ type pricing =
   | Devex  (** Reference-framework devex weights (default). *)
 
 type workspace
-(** Reusable per-solve arena: the CSC image of the constraint matrix
-    plus every working array of the solver state.  A workspace may be
-    used by one solve at a time and must not be shared across domains;
-    reusing one across re-solves (same or different problems — buffers
-    resize on shape change) eliminates per-solve allocation. *)
+(** Reusable per-solve arena: the CSC image of the constraint matrix,
+    a CSR image of its rows, plus every working array of the solver
+    state.  A workspace may be used by one solve at a time and must not
+    be shared across domains; reusing one across re-solves (same or
+    different problems — buffers resize on shape change) eliminates
+    per-solve allocation. *)
 
 val create_workspace : unit -> workspace
 (** A fresh, empty workspace.  Cheap; buffers grow on first use. *)
@@ -156,3 +162,38 @@ val solve_model : ?max_iterations:int -> Model.t -> result
 (** Convenience wrapper: snapshot the model, use its declared bounds and
     solve, converting the objective sign back for maximization models.
     Integrality is ignored (LP relaxation). *)
+
+(** A view into one warm-started solver state, for the equivalence
+    tests of the dual loop's pivot row and maintained reduced costs.
+    Not part of the solving API. *)
+module Probe : sig
+  type t
+
+  val warm : problem -> lb:float array -> ub:float array -> Basis.t -> t option
+  (** The state {!solve} restores from the basis before its dual loop
+      (devex pricing, bound-flipping ratio test, a private workspace);
+      [None] where [solve] would fall back to a cold solve first. *)
+
+  val updates : t -> int
+  (** Forrest–Tomlin updates on the state's factor. *)
+
+  val dual : t -> max_pivots:int -> int
+  (** Runs the warm dual loop as one call of at most [max_pivots]
+      pivots; returns the pivots made. *)
+
+  val binv_row : t -> int -> float array
+  (** [rho = e_r B⁻¹], one BTRAN against the state's factor. *)
+
+  val pivot_row : t -> float array -> (int * float) array
+  (** The row-wise pivot row [rhoᵀ[A I]] over the rows where [rho] is
+      nonzero: [(j, alpha_j)] for every column it touches, each once;
+      an absent column has [alpha_j = 0]. *)
+
+  val rho_dot : t -> float array -> int -> float
+  (** [rhoᵀ[A I]_j], one walk over column [j]. *)
+
+  val reduced_costs : t -> (int * float * float) array
+  (** [(j, maintained, fresh)] for every nonbasic, non-fixed column:
+      the reduced cost the dual loop maintained, and one recomputed
+      from fresh duals.  The state keeps the fresh ones. *)
+end

@@ -2613,6 +2613,156 @@ let test_lu_btran2_stats () =
         Alcotest.(check bool) "btran2 books what two btrans book" true (two = paired)
   done
 
+(* A random sparse bounded LP built around a feasible point, solved
+   cold; half of the time a few rows are appended with
+   [Simplex.add_rows] and the optimal basis grown alongside.  Returns
+   the problem, its box, the basis, the optimum's primal and whether
+   rows were appended, or [None] when the cold solve yields no
+   basis. *)
+let dual_probe_lp st =
+  let int n = Random.State.int st n in
+  let coef () =
+    match int 5 with 0 -> 1. | 1 -> -1. | 2 -> 2. | _ -> Random.State.float st 6. -. 3.
+  in
+  let n = 8 + int 25 and m = 5 + int 16 in
+  let ub = Array.init n (fun _ -> [| 1.; 2.; 5.; 10. |].(int 4)) in
+  let lb = Array.make n 0. in
+  let x0 = Array.map (fun u -> Random.State.float st u) ub in
+  let row () =
+    let cols = List.sort_uniq compare (List.init (1 + int (min n 6)) (fun _ -> int n)) in
+    Array.of_list (List.map (fun j -> (j, coef ())) cols)
+  in
+  let at row = Array.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0. row in
+  let rows = Array.init m (fun _ -> row ()) in
+  let senses =
+    Array.init m (fun _ -> match int 4 with 0 -> Model.Ge | 1 -> Model.Eq | _ -> Model.Le)
+  in
+  let rhs =
+    Array.mapi
+      (fun i row ->
+        let v = at row and slack = Random.State.float st 2. in
+        match senses.(i) with Model.Le -> v +. slack | Model.Ge -> v -. slack | Model.Eq -> v)
+      rows
+  in
+  let obj = Array.init n (fun _ -> coef ()) in
+  let p = { Simplex.ncols = n; rows; senses; rhs; obj; obj_const = 0. } in
+  let r = Simplex.solve p ~lb ~ub in
+  match r.Simplex.basis with
+  | None -> None
+  | Some basis when int 2 = 0 -> Some (p, lb, ub, basis, r.Simplex.primal, false)
+  | Some basis ->
+      let extra =
+        List.init (1 + int 3) (fun _ ->
+            let row = row () in
+            (row, Model.Le, at row +. Random.State.float st 1.))
+      in
+      let p' = Simplex.add_rows p extra in
+      let grown = List.fold_left (fun b (row, _, _) -> Basis.append_row b row) basis extra in
+      Some (p', lb, ub, grown, r.Simplex.primal, true)
+
+(* Move the box away from the optimum [x] on one to three columns, as
+   branching does, so that a warm start has dual pivots to make. *)
+let move_box st ~lb ~ub x =
+  let lb = Array.copy lb and ub = Array.copy ub in
+  for _ = 0 to Random.State.int st 3 do
+    let j = Random.State.int st (Array.length x) in
+    if x.(j) > lb.(j) +. 1e-6 then ub.(j) <- Float.floor ((lb.(j) +. x.(j)) /. 2.)
+    else lb.(j) <- Float.ceil ((x.(j) +. ub.(j)) /. 2.)
+  done;
+  (lb, ub)
+
+(* The row-wise pivot row matches a per-column [rho_dot] on every
+   column, with rho from BTRANs of factors that the dual loop has
+   updated, on problems with and without appended rows. *)
+let test_pivot_row_matches_rho_dot () =
+  let st = Random.State.make [| 20261024 |] in
+  let checked = ref 0 and updated = ref 0 and grown = ref 0 in
+  for _ = 1 to 300 do
+    match dual_probe_lp st with
+    | None -> ()
+    | Some (p, lb, ub, basis, x, appended) -> (
+        let lb, ub = move_box st ~lb ~ub x in
+        match Simplex.Probe.warm p ~lb ~ub basis with
+        | None -> ()
+        | Some pr ->
+            if appended then incr grown;
+            ignore (Simplex.Probe.dual pr ~max_pivots:(Random.State.int st 6));
+            let m = Array.length p.Simplex.rows in
+            let ntot = p.Simplex.ncols + (2 * m) in
+            let rhos =
+              List.init 3 (fun _ -> Simplex.Probe.binv_row pr (Random.State.int st m))
+              @ [ Array.init m (fun _ ->
+                      if Random.State.bool st then 0. else Random.State.float st 4. -. 2.) ]
+            in
+            List.iter
+              (fun rho ->
+                let got = Array.make ntot 0. and seen = Array.make ntot false in
+                Array.iter
+                  (fun (j, a) ->
+                    if seen.(j) then Alcotest.failf "column %d touched twice" j;
+                    seen.(j) <- true;
+                    got.(j) <- a)
+                  (Simplex.Probe.pivot_row pr rho);
+                for j = 0 to ntot - 1 do
+                  let want = Simplex.Probe.rho_dot pr rho j in
+                  if Float.abs (got.(j) -. want) > 1e-12 *. Float.abs want then
+                    Alcotest.failf "column %d of %d: pivot row %h, column dot %h" j ntot got.(j)
+                      want
+                done;
+                incr checked;
+                if Simplex.Probe.updates pr > 0 then incr updated)
+              rhos)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "the sample covers updated factors (%d of %d rows) and grown problems (%d)"
+       !updated !checked !grown)
+    true
+    (!updated > 100 && !grown > 50)
+
+(* After each pivot of a warm dual loop, the reduced costs it
+   maintains match ones recomputed from fresh duals on every nonbasic,
+   non-fixed column, and the warm solve's status and objective match a
+   cold solve's.  The loop is rerun from the restored basis with one
+   more pivot allowed each time, so that each check reads one call's
+   maintained costs after its k-th pivot. *)
+let test_dual_maintained_reduced_costs () =
+  let st = Random.State.make [| 20261025 |] in
+  let checked = ref 0 and later = ref 0 in
+  for _ = 1 to 300 do
+    match dual_probe_lp st with
+    | None -> ()
+    | Some (p, lb, ub, basis, x, _) ->
+        let lb, ub = move_box st ~lb ~ub x in
+        let cap = 100 + (2 * Array.length p.Simplex.rows) in
+        let k = ref 1 and go = ref true in
+        while !go && !k <= cap do
+          match Simplex.Probe.warm p ~lb ~ub basis with
+          | None -> go := false
+          | Some pr ->
+              if Simplex.Probe.dual pr ~max_pivots:!k < !k then go := false
+              else begin
+                Array.iter
+                  (fun (j, kept, fresh) ->
+                    if Float.abs (kept -. fresh) > 1e-9 *. (1. +. Float.abs fresh) then
+                      Alcotest.failf "pivot %d, column %d: maintained %h, fresh %h" !k j kept
+                        fresh)
+                  (Simplex.Probe.reduced_costs pr);
+                incr checked;
+                if !k > 1 then incr later;
+                incr k
+              end
+        done;
+        let warm = Simplex.solve ~basis p ~lb ~ub and cold = Simplex.solve p ~lb ~ub in
+        Alcotest.check lp_status "warm status matches cold" cold.Simplex.status
+          warm.Simplex.status;
+        if cold.Simplex.status = Status.Lp_optimal then
+          check_feq "warm objective matches cold" cold.Simplex.objective warm.Simplex.objective
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "the sample checks %d pivots, %d of them after a call's first" !checked
+       !later)
+    true (!later > 100)
+
 let test_append_rows_bit_identical () =
   (* Cold-solve snapshots carry a freshly refactorized zero-eta factor;
      growing one with Basis.append_rows must extend it in place rather
@@ -3178,6 +3328,10 @@ let () =
         [
           qt prop_lu_btran2_bit_identical;
           Alcotest.test_case "btran2 books two BTRAN calls" `Quick test_lu_btran2_stats;
+          Alcotest.test_case "pivot row matches the column dots" `Quick
+            test_pivot_row_matches_rho_dot;
+          Alcotest.test_case "dual loop maintains fresh reduced costs" `Quick
+            test_dual_maintained_reduced_costs;
           Alcotest.test_case "node propagation matches the reference engine" `Quick
             test_propagation_matches_reference;
           Alcotest.test_case "node propagation allocates no per-row results" `Quick
