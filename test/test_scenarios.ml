@@ -318,7 +318,7 @@ let test_table1_registry_bitcompat () =
   in
   let a = (get (Solve.run cfg via_registry)).Outcome.mip
   and b = (get (Solve.run cfg direct)).Outcome.mip in
-  Alcotest.(check int) "registry run hits the pinned tree" 66
+  Alcotest.(check int) "registry run hits the pinned tree" 62
     a.Milp.Branch_bound.nodes;
   Alcotest.(check int) "direct build explores the same tree"
     a.Milp.Branch_bound.nodes b.Milp.Branch_bound.nodes;

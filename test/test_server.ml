@@ -577,7 +577,7 @@ let test_bb_sequential_via_scheduler_replay () =
             let cfg = Archex.Solver_config.with_scheduler s (base_cfg ~workers:1) in
             (solve_cfg cfg inst).Archex.Outcome.mip)
       in
-      Alcotest.(check int) "pinned energy node count" 66 via.Branch_bound.nodes;
+      Alcotest.(check int) "pinned energy node count" 62 via.Branch_bound.nodes;
       Alcotest.(check int) "node parity" plain.Branch_bound.nodes
         via.Branch_bound.nodes;
       Alcotest.(check int) "lp iteration parity" plain.Branch_bound.lp_iterations
